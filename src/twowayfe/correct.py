@@ -18,9 +18,17 @@ leave_out : allows unrestricted per-observation variances. The bias equals
     leave-one-out residual product. Requires every leverage P_oo < 1, i.e. a
     leave-one-out connected estimation set.
 
-Each correction runs on an exact backend (dense Schur-complement
-factorization of S, deterministic) or a stochastic one (Rademacher probes,
-conjugate-gradient solves) for scale. Quadratic-form matrices are never
+Since sum_o x_o x_o' = S, the homoskedastic trace is also sum_o B_oo, so
+both corrections read one per-observation (P_oo, B_oo) table.
+
+Each correction runs on an exact backend or a stochastic one (Rademacher
+probes, conjugate-gradient solves) for scale. The exact backend builds the
+table once per distinct (worker, firm, covariate row) cell: one pair of
+triangular solves against the Cholesky factor of the (F-1+K)-dimensional
+Schur complement of S, and every B_oo from sums in that space. With
+m = F - 1 + K the cost is O(m^3) for the factor plus O(cells * m^2), and
+memory is the m x m factor plus O(chunk * m) per block of cells; stayer
+cells without covariates need no solve. Quadratic-form matrices are never
 materialized; components act through centered selector maps.
 """
 
@@ -33,7 +41,7 @@ import numpy as np
 
 from .decompose import Decomposition, decompose_variance
 from .design import Design
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, NumericalError
 from .network import ConnectedSet
 from .panel import Panel, restrict_panel
 from .solver import Estimates
@@ -153,32 +161,6 @@ def _check_estimates(panel: Panel, estimates: Estimates) -> None:
         raise DataError("estimates were not computed on this panel")
 
 
-def exact_trace_quadratic(form: QuadraticForm, chunk: int = 512) -> float:
-    """trace(A S^{-1}) through the deterministic Schur factorization.
-
-    Only basis columns where A has support contribute, so the solve count is
-    the number of parameters the component touches.
-    """
-    design = form.design
-    left, right = form.blocks
-    support = []
-    if "alpha" in (left, right) or "alpha_plus_psi" in (left, right):
-        support.append(np.arange(design.W))
-    if "psi" in (left, right) or "alpha_plus_psi" in (left, right):
-        support.append(np.arange(design.W, design.W + design.F - 1))
-    cols = np.unique(np.concatenate(support))
-
-    total = 0.0
-    for lo in range(0, cols.size, chunk):
-        idx = cols[lo : lo + chunk]
-        basis = np.zeros((design.p, idx.size))
-        basis[idx, np.arange(idx.size)] = 1.0
-        a_cols = np.column_stack([form.apply(basis[:, i]) for i in range(idx.size)])
-        solved = design.solve_exact(a_cols)
-        total += float(solved[idx, np.arange(idx.size)].sum())
-    return total
-
-
 def hutchinson_trace_quadratic(
     form: QuadraticForm, probes: int, seed: int, cg_tol: float = DEFAULT_CG_TOL
 ) -> tuple[float, float]:
@@ -196,37 +178,55 @@ def hutchinson_trace_quadratic(
 
 
 def _exact_tables(design: Design, forms: list[QuadraticForm], chunk: int = 512):
-    """One pass of chunked solves S^{-1} x_o giving exact leverages and the
-    B_oo weights of every requested form."""
-    n = design.n
+    """Exact leverages P_oo and the B_oo weights of every requested form, per
+    observation, from one Schur solve per distinct (worker, firm, covariate
+    row) cell, `chunk` cells at a time.
+
+    Split u = S^{-1} x_o as (a, y) over the worker block and the
+    firm/covariate block G of D. Then D u = a_{w(.)} + G y, ||D u||^2 = P_oo,
+    G' D u = g_o and 1' D u = 1, so every person-year sum that B_oo needs is
+    an (F-1+K)-space expression in y: sum d a^2 = P_oo - 2 g_o'y + y'G'G y,
+    sum d a = 1 - 1'G y, and with psi = (y_psi, 0) over firms: sum n psi^2,
+    sum n psi and sum a psi = psi_{j(o)} - y_psi'(G'G y)_psi.
+    """
     p = design.panel
-    lev = np.empty(n)
-    weights = {f.component: np.empty(n) for f in forms}
-    for lo in range(0, n, chunk):
-        idx = np.arange(lo, min(lo + chunk, n))
-        sol = design.solve_for_observations(idx)
+    n, F1 = design.n, design.F - 1
+    cells = np.column_stack([p.worker_idx, p.firm_idx, p.covariates])
+    _, rep, inverse = np.unique(cells, axis=0, return_index=True, return_inverse=True)
+    gtg = (design.g_mat.T @ design.g_mat).tocsr()
+    g_sums = np.asarray(design.g_mat.sum(axis=0)).ravel()
+    n_firm = design.g_firm[:F1]
 
-        w_rows = p.worker_idx[idx]
-        f_rows = p.firm_idx[idx]
-        r = np.arange(idx.size)
-        pii = sol[w_rows, r].copy()
-        keep = f_rows < design.F - 1
-        pii[keep] += sol[design.W + f_rows[keep], r[keep]]
-        if design.K:
-            pii += np.einsum("ij,ji->i", p.covariates[idx], sol[design.W + design.F - 1 :, :])
-        lev[idx] = pii
+    lev = np.empty(rep.size)
+    sums = np.empty((5, rep.size))  # sum d a^2, sum d a, sum n psi^2, sum n psi, sum a psi
+    for lo in range(0, rep.size, chunk):
+        obs = rep[lo : lo + chunk]
+        cols = slice(lo, lo + obs.size)
+        lev[cols], y = design.solve_for_observations(obs)
+        y_psi = y[:F1]
+        own_psi = np.vstack([y_psi, np.zeros((1, obs.size))])[p.firm_idx[obs], np.arange(obs.size)]
+        g_y = own_psi + np.einsum("ij,ji->i", p.covariates[obs], y[F1:])
+        gtg_y = gtg @ y
+        sums[0, cols] = lev[cols] - 2.0 * g_y + np.einsum("ij,ij->j", y, gtg_y)
+        sums[1, cols] = 1.0 - g_sums @ y
+        sums[2, cols] = n_firm @ y_psi**2
+        sums[3, cols] = n_firm @ y_psi
+        sums[4, cols] = own_psi - np.einsum("ij,ij->j", y_psi, gtg_y[:F1])
 
-        for form in forms:
-            left, right = form.blocks
-            lv = design.obs_values(sol, left)
-            lv = lv - lv.mean(axis=0)
-            if right == left:
-                rv = lv
-            else:
-                rv = design.obs_values(sol, right)
-                rv = rv - rv.mean(axis=0)
-            weights[form.component][idx] = np.einsum("oi,oi->i", lv, rv) / n
-    return lev, weights
+    sa2, sa, sp2, sp, sap = sums
+    b = {
+        "var_alpha": (sa2 - sa * sa / n) / n,
+        "var_psi": (sp2 - sp * sp / n) / n,
+        "cov_alpha_psi": (sap - sa * sp / n) / n,
+    }
+    b["var_alpha_plus_psi"] = b["var_alpha"] + b["var_psi"] + 2.0 * b["cov_alpha_psi"]
+    inverse = inverse.ravel()
+    return lev[inverse], {f.component: b[f.component][inverse] for f in forms}
+
+
+def exact_trace_quadratic(form: QuadraticForm) -> float:
+    """trace(A S^{-1}) = sum_o B_oo, since sum_o x_o x_o' = S."""
+    return float(_exact_tables(form.design, [form])[1][form.component].sum())
 
 
 def _stochastic_leverages(design: Design, probes: int, rng, cg_tol: float) -> np.ndarray:
@@ -274,10 +274,11 @@ def compute_leverages(
 ) -> LeverageTable:
     """Per-observation leverages and component weights on a connected set.
 
-    Exact backend: one (vectorized) solve per observation; the leverages sum
-    to the design rank. Stochastic backend: unbiased Rademacher-probe
-    estimates; the small-sample nonlinearity this induces downstream through
-    1/(1 - P_oo) is documented and left uncorrected.
+    Exact backend: one Schur solve per distinct (worker, firm, covariate row)
+    cell, broadcast to its observations; the leverages sum to the design rank.
+    Stochastic backend: unbiased Rademacher-probe estimates; the small-sample
+    nonlinearity this induces downstream through 1/(1 - P_oo) is documented
+    and left uncorrected.
     """
     if backend not in BACKENDS:
         raise ConfigError(f"unknown backend {backend!r}")
@@ -304,6 +305,43 @@ def compute_leverages(
     )
 
 
+def _sigma2(estimates: Estimates) -> float:
+    if estimates.dof < 1:
+        raise DataError("no residual degrees of freedom: cannot estimate sigma^2")
+    return estimates.rss / estimates.dof
+
+
+def _result(form: QuadraticForm, phi: np.ndarray, correction: float, method: str,
+            backend: str, **stochastic) -> CorrectionResult:
+    plug_in = form.quad(phi)
+    return CorrectionResult(
+        component=form.component,
+        plug_in=plug_in,
+        correction=correction,
+        corrected=plug_in - correction,
+        method=method,
+        backend=backend,
+        **stochastic,
+    )
+
+
+def _exact_corrections(estimates: Estimates, forms: list[QuadraticForm], method: str) -> dict:
+    """Either exact correction for several forms from one (P_oo, B_oo) table:
+    sigma2hat * sum_o B_oo under homoskedasticity, sum_o B_oo sigma2_o with
+    leave-one-out sigma2_o otherwise."""
+    design = forms[0].design
+    sigma2 = _sigma2(estimates) if method == "homoskedastic_trace" else None
+    lev, weights = _exact_tables(design, forms)
+    if sigma2 is None:
+        _require_below_one(lev)
+        sigma2_obs = design.panel.log_wage * estimates.residuals / (1.0 - lev)
+        bias = {c: float(b @ sigma2_obs) for c, b in weights.items()}
+    else:
+        bias = {c: sigma2 * float(b.sum()) for c, b in weights.items()}
+    phi = _stacked(design, estimates)
+    return {f.component: _result(f, phi, bias[f.component], method, "exact") for f in forms}
+
+
 def correct_homoskedastic(
     panel: Panel,
     estimates: Estimates,
@@ -317,32 +355,15 @@ def correct_homoskedastic(
     _check_estimates(panel, estimates)
     if backend not in BACKENDS:
         raise ConfigError(f"unknown backend {backend!r}")
-    if estimates.dof < 1:
-        raise DataError("no residual degrees of freedom: cannot estimate sigma^2")
+    sigma2 = _sigma2(estimates)
     if isinstance(form, str):
         form = quadratic_form(estimates, form)
-    design = form.design
-    phi = _stacked(design, estimates)
-    plug_in = form.quad(phi)
-    sigma2 = estimates.rss / estimates.dof
-
     if backend == "exact":
-        trace = exact_trace_quadratic(form)
-        stderr, used = 0.0, 0
-    else:
-        trace, tr_stderr = hutchinson_trace_quadratic(form, probes, seed, cg_tol)
-        stderr, used = sigma2 * tr_stderr, probes
-    correction = sigma2 * trace
-    return CorrectionResult(
-        component=form.component,
-        plug_in=plug_in,
-        correction=correction,
-        corrected=plug_in - correction,
-        method="homoskedastic_trace",
-        backend=backend,
-        probes_used=used,
-        seed=seed if backend == "stochastic" else None,
-        mc_stderr=stderr,
+        return _exact_corrections(estimates, [form], "homoskedastic_trace")[form.component]
+    trace, tr_stderr = hutchinson_trace_quadratic(form, probes, seed, cg_tol)
+    return _result(
+        form, _stacked(form.design, estimates), sigma2 * trace, "homoskedastic_trace",
+        backend, probes_used=probes, seed=seed, mc_stderr=sigma2 * tr_stderr,
     )
 
 
@@ -357,38 +378,23 @@ def correct_leave_out(
 ) -> CorrectionResult:
     """Leave-one-out correction allowing unrestricted variance heterogeneity.
 
-    The estimation set must be leave-one-out connected; any leverage at or
-    above one is reported as a data error rather than clipped.
+    The estimation set must be leave-one-out connected: an exact leverage at
+    or above one is reported as a data error rather than clipped, a
+    stochastic one as a numerical error.
     """
     _check_estimates(panel, estimates)
     if backend not in BACKENDS:
         raise ConfigError(f"unknown backend {backend!r}")
     if isinstance(form, str):
         form = quadratic_form(estimates, form)
-    design = form.design
-    phi = _stacked(design, estimates)
-    plug_in = form.quad(phi)
-    y = design.panel.log_wage
-    resid = estimates.residuals
-
     if backend == "exact":
-        lev, weights = _exact_tables(design, [form])
-        _require_below_one(lev)
-        sigma2_obs = y * resid / (1.0 - lev)
-        correction = float(weights[form.component] @ sigma2_obs)
-        return CorrectionResult(
-            component=form.component,
-            plug_in=plug_in,
-            correction=correction,
-            corrected=plug_in - correction,
-            method="leave_out",
-            backend=backend,
-        )
+        return _exact_corrections(estimates, [form], "leave_out")[form.component]
 
+    design = form.design
     rng = np.random.default_rng(seed)
     lev = _stochastic_leverages(design, probes, rng, cg_tol)
-    _require_below_one(lev)
-    sigma2_obs = y * resid / (1.0 - lev)
+    _require_below_one(lev, probes)
+    sigma2_obs = design.panel.log_wage * estimates.residuals / (1.0 - lev)
     left, right = form.blocks
     per_probe = np.empty(probes)
     for r in range(probes):
@@ -401,28 +407,28 @@ def correct_leave_out(
             ur, _ = design.solve_cg(form.scatter_T(z, "right"), rtol=cg_tol)
             b = design.apply(ur)
         per_probe[r] = float((a * b) @ sigma2_obs) / design.n
-    correction = float(per_probe.mean())
     stderr = float(per_probe.std(ddof=1) / np.sqrt(probes)) if probes > 1 else float("inf")
-    return CorrectionResult(
-        component=form.component,
-        plug_in=plug_in,
-        correction=correction,
-        corrected=plug_in - correction,
-        method="leave_out",
-        backend=backend,
-        probes_used=probes,
-        seed=seed,
-        mc_stderr=stderr,
+    return _result(
+        form, _stacked(design, estimates), float(per_probe.mean()), "leave_out", backend,
+        probes_used=probes, seed=seed, mc_stderr=stderr,
     )
 
 
-def _require_below_one(lev: np.ndarray) -> None:
+def _require_below_one(lev: np.ndarray, probes: int | None = None) -> None:
+    """Reject leverages at or above one: on exact leverages the set is not
+    leave-one-out connected; stochastic ones are unbiased but unbounded."""
     worst = float(lev.max())
-    if worst >= LEVERAGE_CAP:
+    if worst < LEVERAGE_CAP:
+        return
+    if probes is None:
         raise DataError(
             f"an observation has leverage {worst:.12f} >= 1: the estimation set "
             f"is not leave-one-out connected"
         )
+    raise NumericalError(
+        f"a Monte Carlo leverage estimate is {worst:.6f} >= 1 at probes={probes}; "
+        f"use more probes or backend='exact'"
+    )
 
 
 def corrected_decomposition(
@@ -441,46 +447,30 @@ def corrected_decomposition(
         raise ConfigError(f"unknown correction method {method!r}")
     plug = decompose_variance(panel, estimates)
     design = Design(estimates.panel)
-    results = {}
+    forms = [QuadraticForm(c, design) for c in ("var_alpha", "var_psi", "cov_alpha_psi")]
 
-    if method == "leave_out" and backend == "exact":
-        # share the expensive leverage pass across the three components
-        forms = [QuadraticForm(c, design) for c in ("var_alpha", "var_psi", "cov_alpha_psi")]
-        phi = _stacked(design, estimates)
-        lev, weights = _exact_tables(design, forms)
-        _require_below_one(lev)
-        sigma2_obs = design.panel.log_wage * estimates.residuals / (1.0 - lev)
-        for form in forms:
-            plug_in = form.quad(phi)
-            correction = float(weights[form.component] @ sigma2_obs)
-            results[form.component] = CorrectionResult(
-                component=form.component,
-                plug_in=plug_in,
-                correction=correction,
-                corrected=plug_in - correction,
-                method=method,
-                backend=backend,
-            )
+    if backend == "exact":
+        results = _exact_corrections(estimates, forms, method)
     else:
         correct_fn = (
             correct_homoskedastic if method == "homoskedastic_trace" else correct_leave_out
         )
-        for k, comp in enumerate(("var_alpha", "var_psi", "cov_alpha_psi")):
-            form = QuadraticForm(comp, design)
-            results[comp] = correct_fn(
+        results = {
+            form.component: correct_fn(
                 panel, estimates, form, backend=backend, probes=probes,
                 seed=seed + k, cg_tol=cg_tol,
             )
+            for k, form in enumerate(forms)
+        }
 
     var_alpha = results["var_alpha"].corrected
     var_psi = results["var_psi"].corrected
     cov2 = 2.0 * results["cov_alpha_psi"].corrected
-    var_resid = plug.total - var_alpha - var_psi - cov2
     components = {
         "var_alpha": var_alpha,
         "var_psi": var_psi,
         "cov2": cov2,
-        "var_resid": var_resid,
+        "var_resid": plug.total - var_alpha - var_psi - cov2,
     }
     for name in ("var_alpha", "var_psi"):
         if components[name] < 0:
@@ -490,16 +480,7 @@ def corrected_decomposition(
                 stacklevel=2,
             )
     flavor = "homoskedastic_corrected" if method == "homoskedastic_trace" else "leave_out_corrected"
-    shares = {k: v / plug.total for k, v in components.items()} if plug.total else {}
-    sd = np.sqrt(var_alpha * var_psi)
-    corr = 0.5 * cov2 / sd if sd > 0 else float("nan")
-    return Decomposition(
-        total=plug.total,
-        components=components,
-        shares=shares,
-        flavor=flavor,
-        corr_alpha_psi=float(corr),
-    )
+    return Decomposition.from_components(components, flavor, total=plug.total)
 
 
 def correction_pairs(results) -> list[dict]:

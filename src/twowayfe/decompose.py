@@ -34,6 +34,17 @@ def _pcov(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.mean((a - a.mean()) * (b - b.mean())))
 
 
+def core_components(alpha_obs: np.ndarray, psi_obs: np.ndarray, resid: np.ndarray) -> dict:
+    """Person-year moments of per-observation worker effects, firm effects
+    and residuals: the four CORE_COMPONENTS."""
+    return {
+        "var_alpha": _pvar(alpha_obs),
+        "var_psi": _pvar(psi_obs),
+        "cov2": 2.0 * _pcov(alpha_obs, psi_obs),
+        "var_resid": _pvar(resid),
+    }
+
+
 @dataclass(frozen=True)
 class Decomposition:
     """Named variance components, their shares of the total, and provenance tags."""
@@ -47,16 +58,21 @@ class Decomposition:
 
     @classmethod
     def from_components(cls, components: dict, flavor: str = "plug_in",
-                        corr_alpha_psi: float = float("nan")) -> "Decomposition":
-        """Build a decomposition from raw component values; the total is their sum."""
-        total = float(sum(components.values()))
+                        total: float | None = None) -> "Decomposition":
+        """Build a decomposition from component values, adding each one's share
+        of `total` (default: the components' sum) and the implied
+        alpha-psi correlation."""
+        total = float(sum(components.values())) if total is None else total
         shares = {k: v / total for k, v in components.items()} if total else {}
+        nan = float("nan")
+        product = components.get("var_alpha", nan) * components.get("var_psi", nan)
+        corr = 0.5 * components.get("cov2", nan) / np.sqrt(product) if product > 0 else nan
         return cls(
             total=total,
             components=dict(components),
             shares=shares,
             flavor=flavor,
-            corr_alpha_psi=corr_alpha_psi,
+            corr_alpha_psi=float(corr),
         )
 
     def to_json_dict(self) -> dict:
@@ -97,15 +113,9 @@ def decompose_variance(panel: Panel, estimates: Estimates, include_covariates: b
 
     a = estimates.alpha_obs()
     p = estimates.psi_obs()
-    e = estimates.residuals
     xb = estimates.xb_obs()
 
-    components = {
-        "var_alpha": _pvar(a),
-        "var_psi": _pvar(p),
-        "cov2": 2.0 * _pcov(a, p),
-        "var_resid": _pvar(e),
-    }
+    components = core_components(a, p, estimates.residuals)
     if include_covariates:
         components["var_xb"] = _pvar(xb)
         components["cov_xb_alpha2"] = 2.0 * _pcov(xb, a)
@@ -113,17 +123,7 @@ def decompose_variance(panel: Panel, estimates: Estimates, include_covariates: b
         total = _pvar(panel.log_wage)
     else:
         total = _pvar(panel.log_wage - xb)
-
-    shares = {k: v / total for k, v in components.items()} if total else {}
-    sd = np.sqrt(components["var_alpha"] * components["var_psi"])
-    corr = 0.5 * components["cov2"] / sd if sd > 0 else float("nan")
-    return Decomposition(
-        total=total,
-        components=components,
-        shares=shares,
-        flavor="plug_in",
-        corr_alpha_psi=float(corr),
-    )
+    return Decomposition.from_components(components, "plug_in", total=total)
 
 
 def between_within_split(panel: Panel, estimates: Estimates | None = None) -> BetweenWithinSplit:

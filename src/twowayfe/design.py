@@ -57,7 +57,6 @@ class Design:
         self.g_firm = np.bincount(f, minlength=self.F).astype(np.float64)
         self.contact = (self.worker_mat.T @ self.g_mat).tocsr()  # W x (F-1+K)
 
-        self._schur = None
         self._schur_factor = None
         self._schur_diag = None
 
@@ -138,13 +137,14 @@ class Design:
 
     # -- normal equations --------------------------------------------------
     def _ensure_schur(self):
+        """Cholesky factor L (lower triangle) of the Schur complement
+        G'G - B' D_w^{-1} B, with B = contact."""
         if self._schur_factor is None:
             gtg = (self.g_mat.T @ self.g_mat).toarray()
             bt_dinv_b = (
                 self.contact.T @ sp.diags(1.0 / self.d_worker) @ self.contact
             ).toarray()
-            self._schur = gtg - bt_dinv_b
-            self._schur_factor = scipy.linalg.cho_factor(self._schur, lower=True)
+            self._schur_factor, _ = scipy.linalg.cho_factor(gtg - bt_dinv_b, lower=True)
 
     def schur_diag(self) -> np.ndarray:
         if self._schur_diag is None:
@@ -172,47 +172,31 @@ class Design:
         y_a = (b_a - self.contact @ y_g) / self.d_worker[:, None]
         return np.vstack([y_a, y_g])
 
-    def solve_exact(self, b: np.ndarray) -> np.ndarray:
-        """S^{-1} b through the dense Schur-complement Cholesky factor.
+    def solve_for_observations(self, obs_idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Leverages P_oo and the firm/covariate block y_g of S^{-1} x_o for a
+        batch of observations, y_g stacked as (F-1+K, batch) columns.
 
-        Accepts a stacked vector (p,) or matrix (p, m) of right-hand sides.
+        x_o is one worker indicator e_w plus g_o (firm indicator and covariate
+        row), so its Schur-reduced right-hand side is t = g_o - contact_w / d_w.
+        With z = L^{-1} t: P_oo = 1/d_w + ||z||^2 and y_g = L^{-T} z. The
+        worker block (e_w - contact y_g) / d_w is never formed.
         """
-        b_a, t = self._reduce_rhs(b)
-        if self.p == self.W:  # single firm, no covariates: S is diagonal
-            return self._back_substitute(b_a, t)
+        w_rows = self.panel.worker_idx[obs_idx]
+        d = self.d_worker[w_rows]
+        if self.F - 1 + self.K == 0:  # single firm, no covariates: S is diagonal
+            return 1.0 / d, np.zeros((0, obs_idx.size))
+        t = self.g_mat[obs_idx].T.toarray() - self.contact[w_rows].T.toarray() / d
+        live = t.any(axis=0)  # t = 0 exactly for a stayer without covariates
         self._ensure_schur()
-        y_g = scipy.linalg.cho_solve(self._schur_factor, t)
-        return self._back_substitute(b_a, y_g)
-
-    def solve_for_observations(self, obs_idx: np.ndarray) -> np.ndarray:
-        """S^{-1} x_o for a batch of observations o, stacked as columns.
-
-        Each column of D' is one worker indicator, one firm indicator, and the
-        covariate row, so the Schur reduction never touches a dense
-        worker-block right-hand side.
-        """
-        p_ = self.panel
-        c = obs_idx.size
-        w_rows = p_.worker_idx[obs_idx]
-        f_rows = p_.firm_idx[obs_idx]
-        m = self.F - 1 + self.K
-        cols = np.arange(c)
-
-        dinv_rows = 1.0 / self.d_worker[w_rows]
-        if m:
-            t = -(sp.diags(dinv_rows) @ self.contact[w_rows]).toarray().T
-            keep = f_rows < self.F - 1
-            t[f_rows[keep], cols[keep]] += 1.0
-            if self.K:
-                t[self.F - 1 :, :] += p_.covariates[obs_idx].T
-            self._ensure_schur()
-            y_g = scipy.linalg.cho_solve(self._schur_factor, t)
-            y_a = -(self.contact @ y_g) / self.d_worker[:, None]
-        else:
-            y_g = np.zeros((0, c))
-            y_a = np.zeros((self.W, c))
-        y_a[w_rows, cols] += dinv_rows
-        return np.vstack([y_a, y_g])
+        L = self._schur_factor
+        z = scipy.linalg.solve_triangular(L, t[:, live], lower=True, check_finite=False)
+        y_g = np.zeros_like(t)
+        y_g[:, live] = scipy.linalg.solve_triangular(
+            L, z, lower=True, trans="T", check_finite=False
+        )
+        leverage = 1.0 / d
+        leverage[live] += np.einsum("ij,ij->j", z, z)
+        return leverage, y_g
 
     def solve_cg(self, b: np.ndarray, rtol=1e-12, maxiter=10000):
         """S^{-1} b with conjugate gradient on the Schur complement.

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .decompose import Decomposition
+from .decompose import Decomposition, core_components
 from .errors import ConfigError
 from .network import ConnectedSet
 from .panel import Panel
@@ -91,15 +91,6 @@ class SimTruth:
     worker_ids: tuple
     firm_ids: tuple
     config: SimConfig
-
-    def implied_components(self, worker_idx: np.ndarray, firm_idx: np.ndarray) -> dict:
-        a = self.alpha[worker_idx]
-        p = self.psi[firm_idx]
-        return {
-            "var_alpha": float(np.var(a)),
-            "var_psi": float(np.var(p)),
-            "cov2": float(2.0 * np.mean((a - a.mean()) * (p - p.mean()))),
-        }
 
 
 def _ids(prefix: str, count: int) -> np.ndarray:
@@ -254,14 +245,6 @@ def truth_components(truth: SimTruth, conn: ConnectedSet, panel: Panel) -> Decom
     fmap = {f: j for j, f in enumerate(truth.firm_ids)}
     a = truth.alpha[[wmap[w] for w in widx_ext]]
     p = truth.psi[[fmap[f] for f in fidx_ext]]
-    e = truth.noise[keep]
-
-    components = {
-        "var_alpha": float(np.var(a)),
-        "var_psi": float(np.var(p)),
-        "cov2": float(2.0 * np.mean((a - a.mean()) * (p - p.mean()))),
-        "var_resid": float(np.var(e)),
-    }
-    sd = np.sqrt(components["var_alpha"] * components["var_psi"])
-    corr = 0.5 * components["cov2"] / sd if sd > 0 else float("nan")
-    return Decomposition.from_components(components, flavor="ground_truth", corr_alpha_psi=corr)
+    return Decomposition.from_components(
+        core_components(a, p, truth.noise[keep]), flavor="ground_truth"
+    )

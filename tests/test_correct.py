@@ -367,3 +367,82 @@ class TestReporting:
         )
         assert rows[0]["plug_in"] == 0.011 and rows[0]["corrected"] == 0.135
         assert rows[1]["plug_in"] == 0.122 and rows[1]["corrected"] == 0.055
+
+
+def repeated_cell_panel(rng, n_covariates):
+    """Random connected panel in which every third row appears again in a
+    later period with the same worker, firm and covariate row."""
+    from twowayfe import Panel
+
+    base = random_connected_panel(rng, n_workers=18, n_firms=4, n_covariates=n_covariates)
+    extra = np.arange(0, base.n_obs, 3)
+    rows = np.concatenate([np.arange(base.n_obs), extra])
+    return Panel(
+        worker=[base.worker_ids[i] for i in base.worker_idx[rows]],
+        firm=[base.firm_ids[j] for j in base.firm_idx[rows]],
+        period=np.concatenate([base.period, base.period[extra] + 100]),
+        log_wage=base.log_wage[rows],
+        covariates=base.covariates[rows],
+    )
+
+
+class TestCellTable:
+    COMPONENTS = ("var_alpha", "var_psi", "cov_alpha_psi", "var_alpha_plus_psi")
+
+    @pytest.mark.parametrize("n_covariates", (0, 2))
+    def test_table_matches_dense_with_repeated_cells(self, n_covariates):
+        for seed in range(3):
+            panel = repeated_cell_panel(np.random.default_rng(seed), n_covariates)
+            design = Design(panel)
+            cells = np.unique(
+                np.column_stack([panel.worker_idx, panel.firm_idx, panel.covariates]), axis=0
+            )
+            assert cells.shape[0] < panel.n_obs  # rows do share cells
+            forms = [QuadraticForm(c, design) for c in self.COMPONENTS]
+            lev, weights = _exact_tables(design, forms, chunk=4)
+            D, Sinv, A_of = dense_pieces(panel)
+            assert np.abs(lev - np.einsum("op,pq,oq->o", D, Sinv, D)).max() < 1e-10
+            for form in forms:
+                A = A_of(*form.blocks)
+                B = np.einsum("op,pq,qr,ro->o", D @ Sinv, A, Sinv, D.T)
+                assert np.abs(weights[form.component] - B).max() < 1e-10
+
+    def test_stayers_closed_form_without_covariates(self):
+        panel, _, loo, est_panel, _ = loo_estimated(seed=11)
+        design = Design(est_panel)
+        lev, weights = _exact_tables(design, [QuadraticForm("var_psi", design)], chunk=64)
+        firms_per_worker = np.array(
+            [np.unique(est_panel.firm_idx[est_panel.worker_idx == w]).size
+             for w in range(est_panel.n_workers)]
+        )
+        stayer = firms_per_worker[est_panel.worker_idx] == 1
+        assert stayer.any() and not stayer.all()
+        t_i = np.bincount(est_panel.worker_idx)[est_panel.worker_idx]
+        assert np.abs(lev[stayer] - 1.0 / t_i[stayer]).max() < 1e-12
+        assert np.abs(weights["var_psi"][stayer]).max() < 1e-12
+
+    @pytest.mark.parametrize("n_covariates", (0, 2))
+    def test_homoskedastic_decomposition_is_sigma2_times_trace(self, n_covariates):
+        rng = np.random.default_rng(12)
+        panel = random_connected_panel(rng, n_workers=30, n_firms=5, n_covariates=n_covariates)
+        est = estimate(panel, None, SolverConfig(method="dense_oracle"))
+        dec = corrected_decomposition(panel, est, "homoskedastic_trace", backend="exact")
+        plug = decompose_variance(panel, est)
+        design = Design(est.panel)
+        sigma2 = est.rss / est.dof
+        for comp, key, scale in (
+            ("var_alpha", "var_alpha", 1.0),
+            ("var_psi", "var_psi", 1.0),
+            ("cov_alpha_psi", "cov2", 2.0),
+        ):
+            trace = exact_trace_quadratic(QuadraticForm(comp, design))
+            expected = plug.components[key] - scale * sigma2 * trace
+            assert dec.components[key] == pytest.approx(expected, rel=1e-12, abs=1e-14)
+
+
+def test_stochastic_leverage_above_one_is_numerical_error():
+    from twowayfe import NumericalError
+
+    panel, _, loo, est_panel, est = loo_estimated(seed=5)
+    with pytest.raises(NumericalError, match="probes=2.*backend='exact'"):
+        correct_leave_out(est_panel, est, "var_psi", backend="stochastic", probes=2, seed=0)
