@@ -30,6 +30,15 @@ m = F - 1 + K the cost is O(m^3) for the factor plus O(cells * m^2), and
 memory is the m x m factor plus O(chunk * m) per block of cells; stayer
 cells without covariates need no solve. Quadratic-form matrices are never
 materialized; components act through centered selector maps.
+
+The stochastic backend draws its probes in blocks of k (set by a fixed byte
+budget, PROBE_BLOCK_BYTES, on the n x k temporaries) and solves each block
+with one batched CG run against the Schur complement, which the Design
+assembles once as a sparse m x m matrix. Cost is
+O(iterations * nnz(Schur) * k) per block plus O(nnz(D) * k) for the products
+with the design; memory is bounded by the block budget. Probes follow the
+seeded stream in one-at-a-time order, so results do not depend on k.
+Leave-out leverages are JLA-normalized, P^/(P^ + M^), so they stay below one.
 """
 
 from __future__ import annotations
@@ -58,6 +67,9 @@ BACKENDS = ("exact", "stochastic")
 LEVERAGE_CAP = 1.0 - 1e-10
 DEFAULT_PROBES = 100
 DEFAULT_CG_TOL = 1e-8
+# Bytes of one n x k float64 temporary in the probe loops; sets the block
+# width k of Rademacher probes solved together.
+PROBE_BLOCK_BYTES = 1 << 19
 
 
 @dataclass(frozen=True)
@@ -161,18 +173,30 @@ def _check_estimates(panel: Panel, estimates: Estimates) -> None:
         raise DataError("estimates were not computed on this panel")
 
 
+def _probe_blocks(rng, probes: int, size: int, n: int):
+    """Rademacher probes as (size, k) blocks, k set by PROBE_BLOCK_BYTES over
+    n-length columns. Each block is drawn as k rows of `size` and transposed,
+    so column r is the r-th probe a one-at-a-time draw would give and results
+    do not depend on k."""
+    width = max(1, PROBE_BLOCK_BYTES // (8 * n))
+    for lo in range(0, probes, width):
+        k = min(width, probes - lo)
+        yield np.ascontiguousarray(rng.integers(0, 2, (k, size)).T) * 2.0 - 1.0
+
+
 def hutchinson_trace_quadratic(
     form: QuadraticForm, probes: int, seed: int, cg_tol: float = DEFAULT_CG_TOL
 ) -> tuple[float, float]:
     """trace(A S^{-1}) by Rademacher probing: mean over probes of z'A S^{-1} z,
-    each solve by conjugate gradient. Returns (estimate, MC standard error)."""
+    the solves batched by conjugate gradient. Returns (estimate, MC standard
+    error)."""
     design = form.design
     rng = np.random.default_rng(seed)
-    vals = np.empty(probes)
-    for r in range(probes):
-        z = rng.integers(0, 2, design.p) * 2.0 - 1.0
+    vals = []
+    for z in _probe_blocks(rng, probes, design.p, design.n):
         u, _ = design.solve_cg(z, rtol=cg_tol)
-        vals[r] = float(z @ form.apply(u))
+        vals.append(np.einsum("ij,ij->j", z, form.apply(u)))
+    vals = np.concatenate(vals)
     stderr = float(vals.std(ddof=1) / np.sqrt(probes)) if probes > 1 else float("inf")
     return float(vals.mean()), stderr
 
@@ -193,7 +217,7 @@ def _exact_tables(design: Design, forms: list[QuadraticForm], chunk: int = 512):
     n, F1 = design.n, design.F - 1
     cells = np.column_stack([p.worker_idx, p.firm_idx, p.covariates])
     _, rep, inverse = np.unique(cells, axis=0, return_index=True, return_inverse=True)
-    gtg = (design.g_mat.T @ design.g_mat).tocsr()
+    gtg = design.gtg
     g_sums = np.asarray(design.g_mat.sum(axis=0)).ravel()
     n_firm = design.g_firm[:F1]
 
@@ -230,14 +254,40 @@ def exact_trace_quadratic(form: QuadraticForm) -> float:
 
 
 def _stochastic_leverages(design: Design, probes: int, rng, cg_tol: float) -> np.ndarray:
-    """Unbiased leverage estimates: P_oo ~ mean_r (x_o' w_r)^2 with
-    S w_r = D' z_r, z_r Rademacher over observations."""
-    acc = np.zeros(design.n)
-    for _ in range(probes):
-        z = rng.integers(0, 2, design.n) * 2.0 - 1.0
+    """JLA leverage estimates P^/(P^ + M^), which lie in (0, 1].
+
+    With S w_r = D' z_r, z_r Rademacher over observations, D w_r = P z_r and
+    z_r - D w_r = M z_r, so P^_oo = mean_r (D w_r)_o^2 and
+    M^_oo = mean_r (z_r - D w_r)_o^2 estimate P_oo and M_oo = 1 - P_oo without
+    bias from the same solves (Kline, Saggio & Solvsten 2020). The ratio is
+    not unbiased, but unlike P^ alone it cannot reach one unless M^_oo = 0.
+    """
+    p_hat = np.zeros(design.n)
+    m_hat = np.zeros(design.n)
+    for z in _probe_blocks(rng, probes, design.n, design.n):
         w, _ = design.solve_cg(design.apply_T(z), rtol=cg_tol)
-        acc += design.apply(w) ** 2
-    return acc / probes
+        pz = design.apply(w)
+        p_hat += np.einsum("ij,ij->i", pz, pz)
+        z -= pz
+        m_hat += np.einsum("ij,ij->i", z, z)
+    return p_hat / (p_hat + m_hat)
+
+
+def _weight_products(design: Design, form: QuadraticForm, z: np.ndarray, cg_tol: float):
+    """(D S^{-1} Hl' z) o (D S^{-1} Hr' z) for each probe column of z, n x k;
+    a two-sided form solves its left and right columns in one block."""
+    left, right = form.blocks
+    if left == right:
+        u, _ = design.solve_cg(form.scatter_T(z, "left"), rtol=cg_tol)
+        a = design.apply(u)
+        a *= a
+        return a
+    k = z.shape[1]
+    rhs = np.hstack([form.scatter_T(z, "left"), form.scatter_T(z, "right")])
+    u, _ = design.solve_cg(rhs, rtol=cg_tol)
+    a = design.apply(u[:, :k])  # one n x k half at a time bounds the temporaries
+    a *= design.apply(u[:, k:])
+    return a
 
 
 def _stochastic_weights(
@@ -248,18 +298,9 @@ def _stochastic_weights(
     Per probe: (D S^{-1} Hl' z) o (D S^{-1} Hr' z) averages to n * B_oo since
     Rademacher coordinates are independent; divide by n at the end.
     """
-    left, right = form.blocks
     acc = np.zeros(design.n)
-    for _ in range(probes):
-        z = rng.integers(0, 2, design.n) * 2.0 - 1.0
-        ul, _ = design.solve_cg(form.scatter_T(z, "left"), rtol=cg_tol)
-        a = design.apply(ul)
-        if right == left:
-            b = a
-        else:
-            ur, _ = design.solve_cg(form.scatter_T(z, "right"), rtol=cg_tol)
-            b = design.apply(ur)
-        acc += a * b
+    for z in _probe_blocks(rng, probes, design.n, design.n):
+        acc += _weight_products(design, form, z, cg_tol).sum(axis=1)
     return acc / (probes * design.n)
 
 
@@ -276,9 +317,10 @@ def compute_leverages(
 
     Exact backend: one Schur solve per distinct (worker, firm, covariate row)
     cell, broadcast to its observations; the leverages sum to the design rank.
-    Stochastic backend: unbiased Rademacher-probe estimates; the small-sample
-    nonlinearity this induces downstream through 1/(1 - P_oo) is documented
-    and left uncorrected.
+    Stochastic backend: JLA-normalized leverages P^/(P^ + M^) in (0, 1] and
+    unbiased Rademacher-probe weights B_oo, with the same probes for every
+    block width. The ratio is not unbiased; the small-sample nonlinearity it
+    and 1/(1 - P_oo) induce downstream is documented and left uncorrected.
     """
     if backend not in BACKENDS:
         raise ConfigError(f"unknown backend {backend!r}")
@@ -395,18 +437,10 @@ def correct_leave_out(
     lev = _stochastic_leverages(design, probes, rng, cg_tol)
     _require_below_one(lev, probes)
     sigma2_obs = design.panel.log_wage * estimates.residuals / (1.0 - lev)
-    left, right = form.blocks
-    per_probe = np.empty(probes)
-    for r in range(probes):
-        z = rng.integers(0, 2, design.n) * 2.0 - 1.0
-        ul, _ = design.solve_cg(form.scatter_T(z, "left"), rtol=cg_tol)
-        a = design.apply(ul)
-        if right == left:
-            b = a
-        else:
-            ur, _ = design.solve_cg(form.scatter_T(z, "right"), rtol=cg_tol)
-            b = design.apply(ur)
-        per_probe[r] = float((a * b) @ sigma2_obs) / design.n
+    per_probe = np.concatenate([
+        _weight_products(design, form, z, cg_tol).T @ sigma2_obs / design.n
+        for z in _probe_blocks(rng, probes, design.n, design.n)
+    ])
     stderr = float(per_probe.std(ddof=1) / np.sqrt(probes)) if probes > 1 else float("inf")
     return _result(
         form, _stacked(design, estimates), float(per_probe.mean()), "leave_out", backend,
@@ -416,7 +450,8 @@ def correct_leave_out(
 
 def _require_below_one(lev: np.ndarray, probes: int | None = None) -> None:
     """Reject leverages at or above one: on exact leverages the set is not
-    leave-one-out connected; stochastic ones are unbiased but unbounded."""
+    leave-one-out connected; a JLA-normalized estimate reaches one only when
+    every probe gave M^_oo = 0, which more probes make unlikely."""
     worst = float(lev.max())
     if worst < LEVERAGE_CAP:
         return

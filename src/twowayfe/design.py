@@ -10,16 +10,19 @@ are re-normalized afterwards. The identified parameter vector is
 
 of length p = W + F - 1 + K. All solvers work on the normal equations
 S phi = D' y with S = D'D, exploiting that the worker block of S is diagonal:
-eliminating it leaves a dense Schur complement of dimension F - 1 + K, which
-is factorized once for exact solves or applied matrix-free inside CG.
+eliminating it leaves the Schur complement G'G - C' D_w^{-1} C of dimension
+m = F - 1 + K (G the firm/covariate block of D, C = contact). It is assembled
+once as a sparse m x m matrix: CG iterates on it directly, and exact solves
+factorize its dense form.
 """
 
 from __future__ import annotations
 
+from functools import cached_property
+
 import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
-from scipy.sparse.linalg import LinearOperator, cg
 
 from .errors import DataError, NumericalError
 from .panel import Panel
@@ -58,7 +61,6 @@ class Design:
         self.contact = (self.worker_mat.T @ self.g_mat).tocsr()  # W x (F-1+K)
 
         self._schur_factor = None
-        self._schur_diag = None
 
     # -- block slices ----------------------------------------------------
     @property
@@ -79,23 +81,14 @@ class Design:
     # -- design application ------------------------------------------------
     def apply(self, phi: np.ndarray) -> np.ndarray:
         """D @ phi: fitted value per observation (supports (p,) or (p, m))."""
-        a = phi[self.alpha_slice]
-        g = phi[self.W :]
-        return a[self.panel.worker_idx] + self.g_mat @ g
+        out = self.g_mat @ phi[self.W :]
+        out += phi[self.alpha_slice][self.panel.worker_idx]
+        return out
 
     def apply_T(self, v: np.ndarray) -> np.ndarray:
         """D' @ v for an observation-space vector (supports (n,) or (n, m))."""
-        if v.ndim == 1:
-            out = np.empty(self.p)
-            out[self.alpha_slice] = np.bincount(
-                self.panel.worker_idx, weights=v, minlength=self.W
-            )
-        else:
-            out = np.empty((self.p, v.shape[1]))
-            for k in range(v.shape[1]):
-                out[self.alpha_slice, k] = np.bincount(
-                    self.panel.worker_idx, weights=v[:, k], minlength=self.W
-                )
+        out = np.empty((self.p,) + v.shape[1:])
+        out[self.alpha_slice] = self.worker_mat.T @ v
         out[self.W :] = self.g_mat.T @ v
         return out
 
@@ -120,41 +113,32 @@ class Design:
     def scatter_obs(self, v: np.ndarray, block: str) -> np.ndarray:
         """Adjoint of obs_values: map observation-space v into the stacked
         parameter space through one block's incidence."""
-        if v.ndim == 1:
-            out = np.zeros(self.p)
-        else:
-            out = np.zeros((self.p, v.shape[1]))
-        w, f = self.panel.worker_idx, self.panel.firm_idx
+        out = np.zeros((self.p,) + v.shape[1:])
         if block in ("alpha", "alpha_plus_psi"):
-            if v.ndim == 1:
-                out[self.alpha_slice] = np.bincount(w, weights=v, minlength=self.W)
-            else:
-                for k in range(v.shape[1]):
-                    out[self.alpha_slice, k] = np.bincount(w, weights=v[:, k], minlength=self.W)
+            out[self.alpha_slice] = self.worker_mat.T @ v
         if block in ("psi", "alpha_plus_psi"):
             out[self.psi_slice] = self.firm_red.T @ v
         return out
 
     # -- normal equations --------------------------------------------------
+    @cached_property
+    def gtg(self) -> sp.csr_matrix:
+        """G'G, the firm/covariate block of S."""
+        return (self.g_mat.T @ self.g_mat).tocsr()
+
+    @cached_property
+    def schur(self) -> sp.csr_matrix:
+        """The m x m Schur complement G'G - C' D_w^{-1} C, C = contact."""
+        dinv = sp.diags(1.0 / self.d_worker)
+        return (self.gtg - self.contact.T @ dinv @ self.contact).tocsr()
+
     def _ensure_schur(self):
-        """Cholesky factor L (lower triangle) of the Schur complement
-        G'G - B' D_w^{-1} B, with B = contact."""
+        """Cholesky factor L (lower triangle) of the Schur complement."""
         if self._schur_factor is None:
-            gtg = (self.g_mat.T @ self.g_mat).toarray()
-            bt_dinv_b = (
-                self.contact.T @ sp.diags(1.0 / self.d_worker) @ self.contact
-            ).toarray()
-            self._schur_factor, _ = scipy.linalg.cho_factor(gtg - bt_dinv_b, lower=True)
+            self._schur_factor, _ = scipy.linalg.cho_factor(self.schur.toarray(), lower=True)
 
     def schur_diag(self) -> np.ndarray:
-        if self._schur_diag is None:
-            gtg_diag = np.asarray(self.g_mat.multiply(self.g_mat).sum(axis=0)).ravel()
-            b2 = self.contact.multiply(self.contact)
-            corr = np.asarray(
-                (sp.diags(1.0 / self.d_worker) @ b2).sum(axis=0)
-            ).ravel()
-            self._schur_diag = gtg_diag - corr
-        return self._schur_diag
+        return self.schur.diagonal()
 
     def _reduce_rhs(self, b: np.ndarray):
         b_a = b[self.alpha_slice]
@@ -199,42 +183,56 @@ class Design:
         return leverage, y_g
 
     def solve_cg(self, b: np.ndarray, rtol=1e-12, maxiter=10000):
-        """S^{-1} b with conjugate gradient on the Schur complement.
+        """S^{-1} b for b of shape (p,) or (p, k), by Jacobi-preconditioned
+        conjugate gradient on the assembled Schur complement.
 
-        Matrix-free: the dense Schur matrix is never formed, so this scales to
-        very large firm counts. Returns (solution, iterations). Raises
-        NumericalError if CG does not reach `rtol` within `maxiter`.
+        The k columns run k independent CG recurrences side by side (batched,
+        not block-Krylov), so each column's result is that of a solve on its
+        own; column c stops once ||r_c|| <= rtol * ||t_c|| for its reduced
+        right-hand side t_c. Cost is O(iterations * nnz(Schur) * k). Returns
+        (solution, iterations of the slowest column). Raises NumericalError
+        if a column has not reached `rtol` within `maxiter` iterations.
         """
+        b_a, t = self._reduce_rhs(b)
         m = self.F - 1 + self.K
-        b_a0, t0 = self._reduce_rhs(b)
         if m == 0:  # single firm, no covariates: nothing to iterate on
-            return self._back_substitute(b_a0, t0), 0
-        contact = self.contact
-        dinv = 1.0 / self.d_worker
-        g_mat = self.g_mat
-
-        def matvec(v):
-            return g_mat.T @ (g_mat @ v) - contact.T @ (dinv * (contact @ v))
-
-        op = LinearOperator((m, m), matvec=matvec)
-        diag = self.schur_diag()
-        precond = LinearOperator((m, m), matvec=lambda v: v / diag)
-
-        b_a, t = b_a0, t0
+            return self._back_substitute(b_a, t), 0
+        schur, diag = self.schur, self.schur_diag()[:, None]
+        t = t.reshape(m, -1)
+        y = np.zeros_like(t)
+        t_norm = np.linalg.norm(t, axis=0)
+        stop = rtol * t_norm
+        live = np.arange(t.shape[1])  # columns still iterating
+        r, p, rho_prev = t.copy(), None, None
         iters = 0
-
-        def count(_):
-            nonlocal iters
+        while True:
+            going = ~(np.linalg.norm(r, axis=0) <= stop[live])  # a NaN keeps going
+            if not going.all():
+                live, r = live[going], r[:, going]
+                if p is not None:
+                    p, rho_prev = p[:, going], rho_prev[going]
+            if live.size == 0:
+                break
+            if iters == maxiter:
+                resid = np.linalg.norm(r, axis=0) / np.maximum(t_norm[live], 1e-300)
+                raise NumericalError(
+                    f"conjugate gradient did not converge in {maxiter} iterations "
+                    f"(relative residual {resid.max():.3e})"
+                )
+            z = r / diag
+            rho = np.einsum("ij,ij->j", r, z)
+            if p is None:
+                p = z
+            else:
+                p *= rho / rho_prev
+                p += z
+            q = schur @ p
+            alpha = rho / np.einsum("ij,ij->j", p, q)
+            y[:, live] += alpha * p
+            r -= alpha * q
+            rho_prev = rho
             iters += 1
-
-        y_g, info = cg(op, t, rtol=rtol, atol=0.0, maxiter=maxiter, M=precond, callback=count)
-        if info != 0:
-            resid = np.linalg.norm(matvec(y_g) - t) / max(np.linalg.norm(t), 1e-300)
-            raise NumericalError(
-                f"conjugate gradient did not converge in {maxiter} iterations "
-                f"(relative residual {resid:.3e})"
-            )
-        return self._back_substitute(b_a, y_g), iters
+        return self._back_substitute(b_a, y if b.ndim > 1 else y[:, 0]), iters
 
     def stack_estimates(self, alpha: np.ndarray, psi: np.ndarray, beta: np.ndarray) -> np.ndarray:
         """Re-express mean-zero-normalized estimates in the reference-firm basis."""

@@ -19,11 +19,13 @@ from twowayfe import (
     restrict_panel,
     simulate_panel,
 )
+from twowayfe import correct as correct_module
 from twowayfe.correct import (
     QuadraticForm,
     _exact_tables,
     correction_pairs,
     exact_trace_quadratic,
+    hutchinson_trace_quadratic,
 )
 from twowayfe.design import Design
 
@@ -446,3 +448,63 @@ def test_stochastic_leverage_above_one_is_numerical_error():
     panel, _, loo, est_panel, est = loo_estimated(seed=5)
     with pytest.raises(NumericalError, match="probes=2.*backend='exact'"):
         correct_leave_out(est_panel, est, "var_psi", backend="stochastic", probes=2, seed=0)
+
+
+@pytest.mark.parametrize("block_width", (None, 3))
+def test_probe_stream_matches_one_at_a_time_dense_oracle(block_width, monkeypatch):
+    """Probe z_r is the r-th draw of default_rng(seed), one probe at a time,
+    whatever the block width; estimates equal dense evaluations on that stream."""
+    rng = np.random.default_rng(13)
+    panel = random_connected_panel(rng, n_workers=30, n_firms=6)
+    n, W = panel.n_obs, panel.n_workers
+    if block_width is not None:
+        monkeypatch.setattr(correct_module, "PROBE_BLOCK_BYTES", 8 * n * block_width)
+    D, Sinv, A_of = dense_pieces(panel)
+    seed, probes = 5, 7
+
+    form = QuadraticForm("cov_alpha_psi", Design(panel))
+    A = A_of(*form.blocks)
+    draws = np.random.default_rng(seed)
+    z = [draws.integers(0, 2, D.shape[1]) * 2.0 - 1.0 for _ in range(probes)]
+    expected = np.mean([zr @ A @ Sinv @ zr for zr in z])
+    trace, _ = hutchinson_trace_quadratic(form, probes, seed, cg_tol=1e-12)
+    assert trace == pytest.approx(expected, rel=1e-8)
+
+    table = compute_leverages(
+        panel, backend="stochastic", probes=probes, component="cov_alpha_psi",
+        seed=seed, cg_tol=1e-12,
+    )
+    P = D @ Sinv @ D.T
+    C = np.eye(n) - 1.0 / n
+    Hl = C @ np.column_stack([D[:, :W], np.zeros((n, D.shape[1] - W))])
+    Hr = C @ np.column_stack([np.zeros((n, W)), D[:, W:]])
+    draws = np.random.default_rng(seed)
+    z = [draws.integers(0, 2, n) * 2.0 - 1.0 for _ in range(probes)]
+    p_hat = np.mean([(P @ zr) ** 2 for zr in z], axis=0)
+    m_hat = np.mean([(zr - P @ zr) ** 2 for zr in z], axis=0)
+    z = [draws.integers(0, 2, n) * 2.0 - 1.0 for _ in range(probes)]
+    weights = np.mean([(D @ Sinv @ Hl.T @ zr) * (D @ Sinv @ Hr.T @ zr) for zr in z], axis=0) / n
+    lev = p_hat / (p_hat + m_hat)
+    assert np.abs(table.leverage - lev).max() <= 1e-8 * lev.max()
+    assert np.abs(table.component_weight - weights).max() <= 1e-8 * np.abs(weights).max()
+
+
+def test_stochastic_leave_out_returns_on_leave_one_out_connected_sets():
+    """JLA leverages stay below one: the criterion-8 design at the default
+    probe count, where the unnormalized estimate reached one on 19 of 20 seeds."""
+    for seed in range(20):
+        cfg = SimConfig(
+            n_workers=3000, n_firms=300, n_periods=2,
+            var_alpha_true=0.1, var_psi_true=0.02, corr_sorting=0.1,
+            movers_share=0.25, network="size_skewed",
+            noise_kind="heteroskedastic", noise_sigma2_range=(0.01, 0.1),
+            noise_size_coupled=True, seed=seed,
+        )
+        panel, _ = simulate_panel(cfg)
+        loo = leave_one_out_connected_set(build_graph(panel), panel)
+        loo_panel = restrict_panel(panel, loo.workers, loo.firms)
+        est = estimate(loo_panel, None, SolverConfig(method="conjugate_gradient"))
+        exact = corrected_decomposition(loo_panel, est, "leave_out", "exact")
+        stoch = corrected_decomposition(loo_panel, est, "leave_out", "stochastic")
+        gap = stoch.components["var_psi"] - exact.components["var_psi"]
+        assert abs(gap) <= 0.002, (seed, gap)

@@ -1,0 +1,97 @@
+import numpy as np
+import pytest
+import scipy.linalg
+
+from twowayfe import NumericalError, Panel
+from twowayfe.design import Design
+
+from conftest import random_connected_panel
+
+
+def dense_normal_matrix(panel):
+    """S = D'D from a dense one-hot design D built from scratch."""
+    n, W, F, K = panel.n_obs, panel.n_workers, panel.n_firms, panel.covariate_count
+    D = np.zeros((n, W + F - 1 + K))
+    D[np.arange(n), panel.worker_idx] = 1.0
+    keep = panel.firm_idx < F - 1
+    D[np.flatnonzero(keep), W + panel.firm_idx[keep]] = 1.0
+    if K:
+        D[:, W + F - 1 :] = panel.covariates
+    return D.T @ D
+
+
+class TestBatchedCG:
+    @pytest.mark.parametrize("n_covariates", (0, 2))
+    def test_block_matches_dense_solve(self, n_covariates):
+        rng = np.random.default_rng(20 + n_covariates)
+        panel = random_connected_panel(rng, n_workers=40, n_firms=7, n_covariates=n_covariates)
+        design = Design(panel)
+        S = dense_normal_matrix(panel)
+        B = rng.normal(size=(design.p, 5))
+        X, iters = design.solve_cg(B, rtol=1e-12)
+        assert X.shape == B.shape and iters > 0
+        expected = np.linalg.solve(S, B)
+        assert np.abs(X - expected).max() <= 1e-8 * np.abs(expected).max()
+        x1, _ = design.solve_cg(B[:, 2], rtol=1e-12)
+        assert x1.shape == (design.p,)
+        np.testing.assert_allclose(x1, X[:, 2], rtol=0, atol=1e-12 * np.abs(x1).max())
+
+    def test_columns_stop_independently(self):
+        rng = np.random.default_rng(23)
+        panel = random_connected_panel(rng, n_workers=40, n_firms=8, mover_share=0.5)
+        design = Design(panel)
+        S = dense_normal_matrix(panel)
+        # A reduced right-hand side diag(Schur) v, v a generalized eigenvector
+        # of (Schur, diag(Schur)), is solved by the first Jacobi-CG step.
+        diag = design.schur_diag()
+        _, vecs = scipy.linalg.eigh(design.schur.toarray(), np.diag(diag))
+        one_step = np.zeros(design.p)
+        one_step[design.W :] = diag * vecs[:, 0]
+        B = np.column_stack([np.zeros(design.p), one_step, rng.normal(size=design.p)])
+        alone = [design.solve_cg(B[:, c], rtol=1e-12) for c in range(B.shape[1])]
+        counts = [it for _, it in alone]
+        assert counts[0] == 0 and counts[1] == 1 and counts[2] > 2
+        X, iters = design.solve_cg(B, rtol=1e-12)
+        assert iters == max(counts)
+        assert np.all(X[:, 0] == 0.0)
+        for c, (x, _) in enumerate(alone):
+            np.testing.assert_allclose(X[:, c], x, rtol=0, atol=1e-12 * max(np.abs(x).max(), 1.0))
+        expected = np.linalg.solve(S, B)
+        assert np.abs(X - expected).max() <= 1e-8 * np.abs(expected).max()
+
+    def test_single_firm_has_nothing_to_iterate(self):
+        panel = Panel(
+            worker=["a", "a", "b", "c", "c", "c"],
+            firm=["f"] * 6,
+            period=[1, 2, 1, 1, 2, 3],
+            log_wage=[1.0, 2.0, 3.0, 4.0, 5.0, 6.0],
+        )
+        design = Design(panel)
+        assert design.p == 3
+        B = np.arange(6.0).reshape(3, 2)
+        X, iters = design.solve_cg(B)
+        assert iters == 0
+        np.testing.assert_array_equal(X, B / np.array([2.0, 1.0, 3.0])[:, None])
+        x, iters = design.solve_cg(B[:, 1])
+        assert iters == 0 and x.shape == (3,)
+
+    def test_maxiter_exhausted_names_residual(self):
+        rng = np.random.default_rng(24)
+        panel = random_connected_panel(rng, n_workers=40, n_firms=7)
+        design = Design(panel)
+        B = rng.normal(size=(design.p, 3))
+        with pytest.raises(NumericalError, match=r"in 1 iterations \(relative residual \d"):
+            design.solve_cg(B, rtol=1e-12, maxiter=1)
+
+
+class TestSchur:
+    @pytest.mark.parametrize("n_covariates", (0, 2))
+    def test_assembled_schur_matches_dense_elimination(self, n_covariates):
+        rng = np.random.default_rng(30 + n_covariates)
+        panel = random_connected_panel(rng, n_workers=30, n_firms=6, n_covariates=n_covariates)
+        design = Design(panel)
+        S = dense_normal_matrix(panel)
+        W = panel.n_workers
+        expected = S[W:, W:] - S[W:, :W] @ np.linalg.solve(S[:W, :W], S[:W, W:])
+        np.testing.assert_allclose(design.schur.toarray(), expected, atol=1e-10)
+        np.testing.assert_array_equal(design.schur_diag(), design.schur.diagonal())
