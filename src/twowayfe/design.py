@@ -25,6 +25,7 @@ import scipy.linalg
 import scipy.sparse as sp
 
 from .errors import DataError, NumericalError
+from .network import _components, worker_firm_incidence
 from .panel import Panel
 
 
@@ -274,19 +275,10 @@ def check_covariate_collinearity(panel: Panel, tol=1e-10) -> None:
 
 def check_connected(panel: Panel) -> None:
     """Raise DataError unless the panel's firms form one connected set."""
-    from .network import UnionFind
-
-    pairs = np.unique(np.stack([panel.worker_idx, panel.firm_idx], axis=1), axis=0)
-    uf = UnionFind(panel.n_firms)
-    counts = np.bincount(pairs[:, 0], minlength=panel.n_workers)
-    start = 0
-    for c in counts:
-        for k in range(start, start + c - 1):
-            uf.union(int(pairs[k, 1]), int(pairs[k + 1, 1]))
-        start += c
-    roots = {uf.find(j) for j in range(panel.n_firms)}
-    if len(roots) > 1:
+    inc = worker_firm_incidence(panel)
+    count = _components(inc)[0]  # every worker has a firm: no isolated workers
+    if count > 1:
         raise DataError(
             "estimation panel is not connected: extract a connected set first "
-            f"({len(roots)} components found)"
+            f"({count} components found)"
         )

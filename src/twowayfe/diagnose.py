@@ -22,7 +22,7 @@ import numpy as np
 
 from .decompose import decompose_variance
 from .errors import ConfigError, DataError, TwoWayError
-from .network import build_graph, largest_connected_set
+from .network import build_graph, largest_connected_set, worker_firm_incidence
 from .panel import Panel, restrict_panel
 from .solver import Estimates, SolverConfig, estimate
 
@@ -63,14 +63,10 @@ class EventStudyTable:
 
 
 def _movers_per_firm(panel: Panel) -> float:
-    pairs = np.unique(np.stack([panel.worker_idx, panel.firm_idx], axis=1), axis=0)
-    firms_per_worker = np.bincount(pairs[:, 0], minlength=panel.n_workers)
-    mover = firms_per_worker >= 2
-    mover_firm_pairs = pairs[mover[pairs[:, 0]]]
-    if panel.n_firms == 0:
-        return 0.0
-    movers_at_firm = np.bincount(mover_firm_pairs[:, 1], minlength=panel.n_firms)
-    return float(movers_at_firm.mean())
+    inc = worker_firm_incidence(panel)
+    firms_per_worker = np.diff(inc.indptr)
+    # each mover counts once at every firm they visit
+    return float(firms_per_worker[firms_per_worker >= 2].sum() / panel.n_firms)
 
 
 def _one_subsample(panel, share, replicate, seed, solver_config):

@@ -9,60 +9,38 @@ The leave-one-out connected set additionally survives the deletion of any
 single worker, which is what gives every observation a regression leverage
 strictly below one and makes the heteroskedastic-robust bias correction
 feasible.
+
+Everything here reads one primitive: the binary worker x firm incidence A
+(CSR, one nonzero per distinct (worker, firm) pair). Edges and mover counts
+are triu(A'A, 1); components come from scipy's `connected_components` on
+the bipartite graph of A. Building A sorts the pairs, so a component pass
+costs O(n log n + edges) for n observations. Articulation workers of the
+leave-one-out set are found by one iterative Hopcroft-Tarjan low-point pass,
+a Python loop over the movers' (worker, firm) pairs only.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 
-import networkx as nx
 import numpy as np
+import scipy.sparse as sp
+from scipy.sparse.csgraph import connected_components
 
-from .errors import ConfigError, DataError
-from .panel import Panel, restrict_panel
-
-
-class UnionFind:
-    """Disjoint sets over 0..n-1 with path compression and union by size."""
-
-    def __init__(self, n: int):
-        self.parent = np.arange(n, dtype=np.int64)
-        self.size = np.ones(n, dtype=np.int64)
-
-    def find(self, a: int) -> int:
-        parent = self.parent
-        root = a
-        while parent[root] != root:
-            root = parent[root]
-        while parent[a] != root:
-            parent[a], a = root, parent[a]
-        return root
-
-    def union(self, a: int, b: int) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return
-        if self.size[ra] < self.size[rb]:
-            ra, rb = rb, ra
-        self.parent[rb] = ra
-        self.size[ra] += self.size[rb]
-
-    def labels(self) -> np.ndarray:
-        return np.fromiter((self.find(i) for i in range(len(self.parent))), dtype=np.int64)
+from .errors import DataError
+from .panel import Panel
 
 
 @dataclass(frozen=True)
 class MobilityGraph:
-    """Firm-level mover graph plus the worker -> firms incidence it came from."""
+    """Firm-level mover graph plus the worker x firm incidence it came from."""
 
     n_firms: int
     edge_a: np.ndarray  # firm index, edge_a < edge_b
     edge_b: np.ndarray
     edge_movers: np.ndarray  # distinct workers observed at both endpoints
-    worker_firms: tuple  # per worker: sorted array of distinct firm indices
+    incidence: sp.csr_matrix  # W x F, 1 where the worker is observed at the firm
     obs_per_firm: np.ndarray
-    obs_per_worker: np.ndarray
     firm_ids: tuple
     worker_ids: tuple
 
@@ -95,75 +73,67 @@ class ConnectedSet:
         return len(self.workers)
 
 
+def worker_firm_incidence(panel: Panel, keep: np.ndarray | None = None) -> sp.csr_matrix:
+    """Binary W x F incidence of the panel's observations (those where `keep`
+    is true, if given): entry (w, j) is 1 iff worker w is observed at firm j.
+    Row w lists w's distinct firms in ascending order."""
+    widx, fidx = panel.worker_idx, panel.firm_idx
+    if keep is not None:
+        widx, fidx = widx[keep], fidx[keep]
+    ones = np.ones(len(widx), dtype=np.int64)
+    inc = sp.csr_matrix((ones, (widx, fidx)), shape=(panel.n_workers, panel.n_firms))
+    inc.data[:] = 1  # the CSR conversion summed repeated (worker, firm) rows
+    return inc
+
+
+def _components(incidence: sp.csr_matrix):
+    """Components of the bipartite worker-firm graph of `incidence`:
+    (count, worker labels, firm labels). A worker or firm with no nonzero is
+    a component of its own."""
+    n_w, n_f = incidence.shape
+    # worker rows point at firm nodes n_w..n_w+n_f-1; firm rows are empty
+    indptr = np.concatenate([incidence.indptr, np.full(n_f, incidence.nnz)])
+    bipartite = sp.csr_matrix(
+        (incidence.data, incidence.indices + n_w, indptr), shape=(n_w + n_f, n_w + n_f)
+    )
+    count, labels = connected_components(bipartite, directed=True, connection="weak")
+    return count, labels[:n_w], labels[n_w:]
+
+
+def _pick_component(incidence: sp.csr_matrix, obs_per_firm: np.ndarray):
+    """(worker mask, firm mask) of the component with the most workers; ties
+    broken by observation count, then by smallest external firm id. Only
+    components with a firm that has observations compete, so workers and
+    firms outside the incidence never win. Panel indices follow sorted
+    external ids, so the smallest firm index is the smallest id."""
+    count, w_lab, f_lab = _components(incidence)
+    workers = np.bincount(w_lab, minlength=count)
+    obs = np.bincount(f_lab, weights=obs_per_firm, minlength=count)
+    live = np.flatnonzero(obs_per_firm)  # ascending, so the first hit is the minimum
+    labels, first = np.unique(f_lab[live], return_index=True)
+    best = labels[np.lexsort((live[first], -obs[labels], -workers[labels]))[0]]
+    return w_lab == best, f_lab == best
+
+
 def build_graph(panel: Panel) -> MobilityGraph:
     """Construct the mover graph of a panel.
 
     An edge (a, b) exists iff some worker is observed at both a and b, with
     weight equal to the number of distinct such workers.
     """
-    pairs = np.unique(np.stack([panel.worker_idx, panel.firm_idx], axis=1), axis=0)
-    counts = np.bincount(pairs[:, 0], minlength=panel.n_workers)
-    splits = np.split(pairs[:, 1], np.cumsum(counts)[:-1])
-    worker_firms = tuple(np.sort(s) for s in splits)
-
-    edge_counts: dict[tuple[int, int], int] = {}
-    for firms in worker_firms:
-        if firms.size < 2:
-            continue
-        for a, b in combinations(firms.tolist(), 2):
-            edge_counts[(a, b)] = edge_counts.get((a, b), 0) + 1
-
-    if edge_counts:
-        keys = sorted(edge_counts)
-        edge_a = np.array([k[0] for k in keys], dtype=np.int64)
-        edge_b = np.array([k[1] for k in keys], dtype=np.int64)
-        edge_movers = np.array([edge_counts[k] for k in keys], dtype=np.int64)
-    else:
-        edge_a = edge_b = edge_movers = np.empty(0, dtype=np.int64)
-
+    inc = worker_firm_incidence(panel)
+    shared = sp.triu(inc.T @ inc, k=1).tocoo()  # (a, b): workers seen at both
+    order = np.lexsort((shared.col, shared.row))
     return MobilityGraph(
         n_firms=panel.n_firms,
-        edge_a=edge_a,
-        edge_b=edge_b,
-        edge_movers=edge_movers,
-        worker_firms=worker_firms,
+        edge_a=shared.row[order].astype(np.int64),
+        edge_b=shared.col[order].astype(np.int64),
+        edge_movers=shared.data[order].astype(np.int64),
+        incidence=inc,
         obs_per_firm=np.bincount(panel.firm_idx, minlength=panel.n_firms),
-        obs_per_worker=np.bincount(panel.worker_idx, minlength=panel.n_workers),
         firm_ids=panel.firm_ids,
         worker_ids=panel.worker_ids,
     )
-
-
-def _component_labels(n_firms: int, edge_a, edge_b) -> np.ndarray:
-    uf = UnionFind(n_firms)
-    for a, b in zip(edge_a, edge_b):
-        uf.union(int(a), int(b))
-    return uf.labels()
-
-
-def _pick_component(labels, worker_firms, obs_per_firm, firm_ids):
-    """Choose the component with the most workers; ties broken by observation
-    count, then by smallest external firm id."""
-    workers_per: dict[int, int] = {}
-    for firms in worker_firms:
-        if firms.size:
-            root = labels[firms[0]]
-            workers_per[root] = workers_per.get(root, 0) + 1
-    obs_per: dict[int, int] = {}
-    for j in range(len(labels)):
-        obs_per[labels[j]] = obs_per.get(labels[j], 0) + int(obs_per_firm[j])
-    min_id: dict[int, str] = {}
-    for j in range(len(labels)):
-        root = labels[j]
-        fid = firm_ids[j]
-        if root not in min_id or fid < min_id[root]:
-            min_id[root] = fid
-
-    def rank(root):
-        # larger worker/obs counts first, then lexicographically smallest id
-        return (-workers_per.get(root, 0), -obs_per.get(root, 0), min_id[root])
-
-    return min(set(labels.tolist()), key=rank)
 
 
 def largest_connected_set(graph: MobilityGraph) -> ConnectedSet:
@@ -173,103 +143,118 @@ def largest_connected_set(graph: MobilityGraph) -> ConnectedSet:
     co-employment edges join them), so each worker belongs to exactly one
     component.
     """
-    if graph.n_firms == 0:
-        raise ConfigError("mobility graph has no firms")
-    labels = _component_labels(graph.n_firms, graph.edge_a, graph.edge_b)
-    best = _pick_component(labels, graph.worker_firms, graph.obs_per_firm, graph.firm_ids)
-    firm_members = frozenset(
-        graph.firm_ids[j] for j in range(graph.n_firms) if labels[j] == best
+    wmask, fmask = _pick_component(graph.incidence, graph.obs_per_firm)
+    return ConnectedSet(
+        firms=frozenset(graph.firm_ids[j] for j in np.flatnonzero(fmask)),
+        workers=frozenset(graph.worker_ids[w] for w in np.flatnonzero(wmask)),
+        kind="largest_connected",
     )
-    worker_members = frozenset(
-        graph.worker_ids[w]
-        for w, firms in enumerate(graph.worker_firms)
-        if firms.size and labels[firms[0]] == best
-    )
-    return ConnectedSet(firms=firm_members, workers=worker_members, kind="largest_connected")
+
+
+def _cut_movers(incidence: sp.csr_matrix, movers: np.ndarray) -> np.ndarray:
+    """Movers that are articulation points of the graph whose nodes are the
+    firms and `movers` and whose edges join each mover to the firms they
+    visit (Hopcroft-Tarjan low points, one iterative depth-first search with
+    roots at firm nodes, so it never recurses).
+
+    Nodes 0..F-1 are firms and F+k is movers[k]. A non-root node u is an
+    articulation point iff some DFS child v has low[v] >= disc[u]; roots are
+    firms, so the root rule is never needed.
+    """
+    n_f = incidence.shape[1]
+    rows = incidence[movers]
+    adjacency = sp.bmat([[None, rows.T], [rows, None]], format="csr")
+    ptr, adj = adjacency.indptr.tolist(), adjacency.indices.tolist()
+    nxt = ptr[:-1]
+    disc = [-1] * len(nxt)
+    low = [0] * len(nxt)
+    parent = [-1] * len(nxt)
+    cut = np.zeros(len(movers), dtype=bool)
+    clock = 0
+    for root in range(n_f):
+        if disc[root] >= 0:
+            continue
+        disc[root] = low[root] = clock
+        clock += 1
+        stack = [root]
+        while stack:
+            u = stack[-1]
+            i = nxt[u]
+            if i < ptr[u + 1]:
+                nxt[u] = i + 1
+                v = adj[i]
+                if disc[v] < 0:
+                    parent[v] = u
+                    disc[v] = low[v] = clock
+                    clock += 1
+                    stack.append(v)
+                elif disc[v] < low[u]:
+                    # v may be u's parent: low[u] = disc[parent] still
+                    # passes the test low[u] >= disc[parent] below
+                    low[u] = disc[v]
+            else:
+                stack.pop()
+                p = parent[u]
+                if p >= 0:
+                    if low[u] < low[p]:
+                        low[p] = low[u]
+                    if low[u] >= disc[p] and p >= n_f:
+                        cut[p - n_f] = True
+    return movers[cut]
 
 
 def leave_one_out_connected_set(graph: MobilityGraph, panel: Panel) -> ConnectedSet:
     """Largest subset of the largest connected set that stays connected when
     any single worker's observations are deleted.
 
-    Iterates to a fixed point: keep the largest component, drop workers with a
-    single observation (their one row would otherwise carry leverage one),
-    then drop every worker whose deletion disconnects the remaining firms.
-    Articulation workers are found on the auxiliary graph whose nodes are
-    firms plus movers and whose edges join each mover to the firms they visit:
-    deleting a worker splits the firm set exactly when that worker is an
-    articulation point there.
+    Iterates to a fixed point on a mask over the panel's observations: keep
+    the largest component, drop workers with a single observation (their one
+    row would otherwise carry leverage one), then drop every worker whose
+    deletion disconnects the remaining firms. Articulation workers are found
+    on the auxiliary graph whose nodes are firms plus movers and whose edges
+    join each mover to the firms they visit: deleting a worker splits the
+    firm set exactly when that worker is an articulation point there.
     """
-    base = largest_connected_set(graph)
-    current = restrict_panel(panel, base.workers, base.firms)
+    widx, fidx = panel.worker_idx, panel.firm_idx
+    n_w, n_f = panel.n_workers, panel.n_firms
+    keep = np.ones(panel.n_obs, dtype=bool)
+    inc = graph.incidence  # of `panel`, so it describes the full mask
 
     while True:
-        widx, fidx = current.worker_idx, current.firm_idx
-        n_w, n_f = current.n_workers, current.n_firms
+        obs_per_worker = np.bincount(widx[keep], minlength=n_w)
+        obs_per_firm = np.bincount(fidx[keep], minlength=n_f)
+        n_live_firms = np.count_nonzero(obs_per_firm)
 
-        pairs = np.unique(np.stack([widx, fidx], axis=1), axis=0)
-        counts = np.bincount(pairs[:, 0], minlength=n_w)
-        worker_firms = np.split(pairs[:, 1], np.cumsum(counts)[:-1])
-
-        # largest component of the current restriction
-        uf = UnionFind(n_f)
-        for firms in worker_firms:
-            for k in range(len(firms) - 1):
-                uf.union(int(firms[k]), int(firms[k + 1]))
-        labels = uf.labels()
-        if np.unique(labels).size > 1:
-            best = _pick_component(
-                labels,
-                tuple(worker_firms),
-                np.bincount(fidx, minlength=n_f),
-                current.firm_ids,
-            )
-            keep_f = {current.firm_ids[j] for j in range(n_f) if labels[j] == best}
-            keep_w = {
-                current.worker_ids[w]
-                for w in range(n_w)
-                if worker_firms[w].size and labels[worker_firms[w][0]] == best
-            }
-            current = restrict_panel(current, keep_w, keep_f)
-            continue
-
-        # single-observation workers carry leverage one: drop them
-        obs_per_worker = np.bincount(widx, minlength=n_w)
-        singles = np.flatnonzero(obs_per_worker < 2)
-        if singles.size:
-            keep_w = {current.worker_ids[w] for w in range(n_w) if obs_per_worker[w] >= 2}
-            if not keep_w:
+        fmask = _pick_component(inc, obs_per_firm)[1]
+        if np.count_nonzero(fmask) < n_live_firms:
+            # keep the largest component of the current set
+            keep &= fmask[fidx]
+        elif np.any(obs_per_worker == 1):
+            # single-observation workers carry leverage one: drop them
+            if not np.any(obs_per_worker >= 2):
                 raise DataError("leave-one-out connected set is empty: data too sparse")
-            current = restrict_panel(current, keep_w, set(current.firm_ids))
-            continue
-
-        movers = [w for w in range(n_w) if worker_firms[w].size >= 2]
-        if n_f == 1:
+            keep &= obs_per_worker[widx] >= 2
+        elif n_live_firms == 1:
             # single-firm set: any worker can be left out iff another remains
-            if n_w < 2:
+            if np.count_nonzero(obs_per_worker) < 2:
                 raise DataError("leave-one-out connected set is empty: data too sparse")
             break
-
-        aux = nx.Graph()
-        aux.add_nodes_from(("f", j) for j in range(n_f))
-        for w in movers:
-            for j in worker_firms[w]:
-                aux.add_edge(("w", w), ("f", int(j)))
-        # deleting worker w splits the firm set (or empties a firm) exactly
-        # when w is an articulation point of the firms+movers graph
-        cut_workers = {
-            node[1] for node in nx.articulation_points(aux) if node[0] == "w"
-        }
-        if not cut_workers:
-            break
-        keep_w = {current.worker_ids[w] for w in range(n_w) if w not in cut_workers}
-        if not keep_w:
-            raise DataError("leave-one-out connected set is empty: data too sparse")
-        current = restrict_panel(current, keep_w, set(current.firm_ids))
+        else:
+            # deleting worker w splits the firm set (or empties a firm) exactly
+            # when w is an articulation point of the firms+movers graph
+            cut = _cut_movers(inc, np.flatnonzero(np.diff(inc.indptr) >= 2))
+            if cut.size == 0:
+                break
+            if cut.size == np.count_nonzero(obs_per_worker):
+                raise DataError("leave-one-out connected set is empty: data too sparse")
+            dropped = np.zeros(n_w, dtype=bool)
+            dropped[cut] = True
+            keep &= ~dropped[widx]
+        inc = worker_firm_incidence(panel, keep)
 
     return ConnectedSet(
-        firms=frozenset(current.firm_ids),
-        workers=frozenset(current.worker_ids),
+        firms=frozenset(panel.firm_ids[j] for j in np.flatnonzero(obs_per_firm)),
+        workers=frozenset(panel.worker_ids[w] for w in np.flatnonzero(obs_per_worker)),
         kind="leave_one_out",
     )
 

@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 
@@ -190,6 +192,29 @@ class TestBuildGraph:
         graph = build_graph(panel)
         assert list(graph.edges().values()) == [2]
 
+    def test_matches_cooccurrence_oracle(self):
+        rng = np.random.default_rng(5)
+        for _ in range(200):
+            W, F = int(rng.integers(2, 40)), int(rng.integers(1, 12))
+            rows = []
+            for w in range(W):
+                for t, f in enumerate(rng.integers(0, F, size=rng.integers(1, 5))):
+                    rows.append((f"w{w:02d}", f"f{f:02d}", t + 1))
+            panel = Panel(
+                worker=[r[0] for r in rows],
+                firm=[r[1] for r in rows],
+                period=[r[2] for r in rows],
+                log_wage=rng.normal(size=len(rows)),
+            )
+            obs = list(zip(panel.worker_idx.tolist(), panel.firm_idx.tolist()))
+            edges, byw = cooccurrence_edges(obs)
+            expected = {
+                (a, b): sum(1 for fs in byw.values() if a in fs and b in fs)
+                for a, b in sorted(edges)
+            }
+            got = build_graph(panel).edges()
+            assert list(got.items()) == list(expected.items())
+
 
 # -- largest connected set ---------------------------------------------------
 
@@ -329,6 +354,37 @@ class TestLeaveOneOut:
             table = compute_leverages(panel, loo, backend="exact")
             assert table.leverage.max() < 1 - 1e-10
             assert table.leverage.min() >= 0
+
+    def test_deep_ring_needs_no_recursion(self):
+        # firms 0..n-1 in a ring, each adjacent pair joined by one mover: the
+        # depth-first search runs about 2n deep and nothing is a cut worker
+        n = 3000
+        assert 2 * n > sys.getrecursionlimit()
+        pairs = []
+        for k in range(n):
+            pairs += [(f"w{k:04d}", f"f{k:04d}"), (f"w{k:04d}", f"f{(k + 1) % n:04d}")]
+        panel = panel_from_pairs(pairs)
+        loo = leave_one_out_connected_set(build_graph(panel), panel)
+        assert loo.firms == set(panel.firm_ids)
+        assert loo.workers == set(panel.worker_ids)
+
+    def test_long_chain_matches_brute_force_oracle(self):
+        # 40 firms in a chain; links carry one to three movers, so single-mover
+        # links are cut and the pieces compete for the largest component
+        rng = np.random.default_rng(13)
+        for _ in range(3):
+            pairs, w = [], 0
+            for j in range(39):
+                for _ in range(rng.integers(1, 4)):
+                    pairs += [(f"w{w:03d}", f"f{j:02d}"), (f"w{w:03d}", f"f{j + 1:02d}")]
+                    w += 1
+            for f in rng.integers(0, 40, size=40):
+                pairs += [(f"w{w:03d}", f"f{f:02d}")] * int(rng.integers(1, 4))
+                w += 1
+            panel = panel_from_pairs(pairs)
+            expected = oracle_leave_one_out(external_pairs(panel))
+            got = leave_one_out_connected_set(build_graph(panel), panel)
+            assert (sorted(got.firms), sorted(got.workers)) == expected
 
     def test_too_sparse_raises(self):
         # one mover connecting two one-worker firms: nothing survives

@@ -142,6 +142,17 @@ class TestDegenerateAndErrors:
         with pytest.raises(DataError, match="connected"):
             estimate(panel)
 
+    def test_disconnected_panel_counts_components(self):
+        # two mover-linked firm pairs with no worker in common
+        panel = Panel(
+            worker=["a", "a", "b", "b", "c", "c", "d", "d"],
+            firm=["f1", "f2", "f2", "f1", "f3", "f4", "f4", "f3"],
+            period=[1, 2, 1, 2, 1, 2, 1, 2],
+            log_wage=[1.0, 1.2, 2.0, 2.2, 0.5, 0.7, 1.5, 1.1],
+        )
+        with pytest.raises(DataError, match=r"\(2 components found\)"):
+            estimate(panel)
+
     def test_collinear_covariate_rejected_with_index(self):
         rng = np.random.default_rng(8)
         base = random_connected_panel(rng, n_workers=15, n_firms=4, n_periods=3)
