@@ -143,8 +143,9 @@ def _load_config(args) -> dict:
 
 
 def _solver_config(config: dict) -> SolverConfig:
+    # The CLI defaults to CG; the library default stays the paper's zigzag.
     return SolverConfig(
-        method=config.get("method", "zigzag"),
+        method=config.get("method", "conjugate_gradient"),
         tol=float(config.get("tol", 1e-10)),
         max_iter=int(config.get("max_iter", 10000)),
         normalization=config.get("normalization", "mean_zero"),
@@ -483,7 +484,11 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, help="top-level random seed")
         p.add_argument("--threads", type=int, help="parallelism cap (default 1)")
         if name in ("estimate", "decompose", "correct", "subsample", "eventstudy", "pipeline"):
-            p.add_argument("--method", help="solver method")
+            p.add_argument(
+                "--method",
+                help="solver method: conjugate_gradient (default) | zigzag | "
+                "first_differences | dense_oracle",
+            )
             p.add_argument("--tol", type=float, help="solver tolerance")
             p.add_argument("--set", help="membership file from `connect`")
         if name == "connect":

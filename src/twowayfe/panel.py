@@ -6,20 +6,38 @@ to dense zero-based indices (assigned in sorted external-id order, so the
 mapping does not depend on row order). Observations are stored sorted by
 (worker, period) and the pair (worker, period) is unique: one employer per
 worker and period.
+
+The layer works on integer codes and column arrays, not per-row records:
+
+- `load_panel` reads the file in one pass, `CHUNK_ROWS` records at a time.
+  Each chunk is parsed column by column (ids stripped and coded through
+  running dicts, numbers through the same Python `float`/`int` parses a row
+  loop would use); only a chunk in which some value fails is re-parsed row
+  by row, to drop just the failing rows. Memory holds one chunk of text plus
+  the numeric columns. Drop checks and duplicate detection are vectorized.
+- `restrict_panel` re-indexes the kept rows in O(n + W + F): a subset of
+  sorted, unique rows with ids renumbered monotonically stays sorted and
+  unique, so ids and rows are never re-sorted or re-checked.
+- `write_panel` formats whole columns and writes them `CHUNK_ROWS` rows at a
+  time.
 """
 
 from __future__ import annotations
 
 import csv
-import math
 import os
 from dataclasses import dataclass, field
+from itertools import compress
+from operator import itemgetter
 
 import numpy as np
 
 from .errors import ConfigError, DataError
 
 MANDATORY_COLUMNS = ("worker", "firm", "period", "log_wage")
+# Records per chunk read by `load_panel` and rows per chunk written by
+# `write_panel`: memory holds one chunk of text rows, not the whole file.
+CHUNK_ROWS = 16384
 
 
 @dataclass(frozen=True)
@@ -107,28 +125,39 @@ class Panel:
         if covariates.size and not np.all(np.isfinite(covariates)):
             raise DataError("panel contains a non-finite covariate value")
 
-        worker_ids, widx = np.unique(worker, return_inverse=True)
-        firm_ids, fidx = np.unique(firm, return_inverse=True)
+        worker_ids, widx = _factorize(worker)
+        firm_ids, fidx = _factorize(firm)
 
         order = np.lexsort((period, widx))
-        widx, fidx, period = widx[order], fidx[order], period[order]
-        log_wage, covariates = log_wage[order], covariates[order]
-
-        key = widx * (period.max() - period.min() + 1) + (period - period.min())
-        if np.unique(key).size != n:
+        widx, period = widx[order], period[order]
+        if np.any((widx[1:] == widx[:-1]) & (period[1:] == period[:-1])):
             raise DataError("duplicate (worker, period) observation")
+        self._set(
+            worker_ids, firm_ids, widx, fidx[order], period,
+            log_wage[order], covariates[order], covariate_names,
+        )
 
-        self.worker_idx = widx.astype(np.int64)
-        self.firm_idx = fidx.astype(np.int64)
+    @classmethod
+    def _from_sorted(cls, *columns):
+        """Build from validated columns: rows sorted by a unique (worker, period)
+        and indices dense into sorted id tuples. Nothing is checked or re-sorted."""
+        panel = cls.__new__(cls)
+        panel._set(*columns)
+        return panel
+
+    def _set(self, worker_ids, firm_ids, worker_idx, firm_idx, period, log_wage,
+             covariates, covariate_names):
+        self.worker_idx = worker_idx
+        self.firm_idx = firm_idx
         self.period = period
         self.log_wage = log_wage
         self.covariates = covariates
-        self.worker_ids = tuple(str(x) for x in worker_ids)
-        self.firm_ids = tuple(str(x) for x in firm_ids)
+        self.worker_ids = worker_ids
+        self.firm_ids = firm_ids
         self.covariate_names = tuple(covariate_names)
-        self._worker_index = {w: i for i, w in enumerate(self.worker_ids)}
-        self._firm_index = {f: j for j, f in enumerate(self.firm_ids)}
-        for arr in (self.worker_idx, self.firm_idx, self.period, self.log_wage, self.covariates):
+        self._worker_index = {w: i for i, w in enumerate(worker_ids)}
+        self._firm_index = {f: j for j, f in enumerate(firm_ids)}
+        for arr in (worker_idx, firm_idx, period, log_wage, covariates):
             arr.setflags(write=False)
 
     # -- size accessors -------------------------------------------------
@@ -198,8 +227,111 @@ class Panel:
         )
 
 
-def _parse_float(text: str) -> float:
-    return float(text)
+def _code(values, index: dict) -> np.ndarray:
+    """Integer codes of `values`; unseen values join the running dict `index`."""
+    fresh = [v for v in dict.fromkeys(values) if v not in index]
+    index.update(zip(fresh, range(len(index), len(index) + len(fresh))))
+    return np.fromiter(map(index.__getitem__, values), dtype=np.int64, count=len(values))
+
+
+def _rank(index: dict, codes: np.ndarray):
+    """Sorted ids that `codes` use, and each code's position among them."""
+    keys = list(index)
+    used = np.zeros(len(keys), dtype=bool)
+    used[codes] = True
+    ids = sorted(compress(keys, used))
+    rank = np.empty(len(keys), dtype=np.int64)
+    rank[[index[k] for k in ids]] = np.arange(len(ids))
+    return tuple(map(str, ids)), rank[codes]
+
+
+def _factorize(values):
+    """Sorted distinct ids and the dense index of each value (Python `<` order)."""
+    index: dict = {}
+    return _rank(index, _code(values, index))
+
+
+def _redensify(ids: tuple, idx: np.ndarray):
+    """Drop the ids no row uses and renumber the rest, keeping their order."""
+    used = np.zeros(len(ids), dtype=bool)
+    used[idx] = True
+    return tuple(compress(ids, used)), np.cumsum(used, dtype=np.int64)[idx] - 1
+
+
+# Reasons a row is dropped, in the order the checks apply; 0 keeps the row.
+_UNPARSABLE, _EMPTY_ID, _NON_FINITE, _DUPLICATE = 1, 2, 3, 4
+_DROP_MESSAGES = {
+    _UNPARSABLE: "unparsable row dropped",
+    _EMPTY_ID: "empty worker or firm id",
+    _NON_FINITE: "non-finite value dropped",
+    _DUPLICATE: "duplicate (worker, period) dropped",
+}
+# A short row raises IndexError; int() of inf and int64 of a period out of
+# range raise OverflowError.
+_PARSE_ERRORS = (ValueError, OverflowError, IndexError)
+
+
+def _convert_columns(records, getters):
+    """Parse one chunk column by column; raises on the first bad value."""
+    n = len(records)
+    worker, firm, period, *floats = (list(map(g, records)) for g in getters)
+    return (
+        list(map(str.strip, worker)),
+        list(map(str.strip, firm)),
+        np.fromiter(map(int, map(float, period)), dtype=np.int64, count=n),
+        np.column_stack([np.fromiter(map(float, c), dtype=np.float64, count=n) for c in floats]),
+        np.zeros(n, dtype=bool),
+    )
+
+
+def _convert_rows(records, getters):
+    """Parse one chunk row by row, flagging the rows that fail."""
+    placeholder = ("", "", 0, *[0.0] * (len(getters) - 3))
+    parsed, bad = [], []
+    for rec in records:
+        try:
+            worker, firm, period, *floats = [g(rec) for g in getters]
+            period = np.int64(int(float(period)))
+            parsed.append((worker.strip(), firm.strip(), period, *map(float, floats)))
+            bad.append(False)
+        except _PARSE_ERRORS:
+            parsed.append(placeholder)
+            bad.append(True)
+    worker, firm, period, *floats = zip(*parsed)
+    return (
+        list(worker),
+        list(firm),
+        np.array(period, dtype=np.int64),
+        np.column_stack([np.array(c, dtype=np.float64) for c in floats]),
+        np.array(bad),
+    )
+
+
+def _read_chunks(reader, getters, worker_index, firm_index):
+    """Yield (line, unparsable, worker code, firm code, period, values) per
+    chunk of at most CHUNK_ROWS records; values holds log wage then covariates."""
+    while True:
+        records, lines = [], []
+        for rec in reader:
+            if rec:  # csv.DictReader skips blank lines too
+                records.append(rec)
+                lines.append(reader.line_num)
+                if len(records) == CHUNK_ROWS:
+                    break
+        if not records:
+            return
+        try:
+            worker, firm, period, values, bad = _convert_columns(records, getters)
+        except _PARSE_ERRORS:
+            worker, firm, period, values, bad = _convert_rows(records, getters)
+        yield (
+            np.array(lines, dtype=np.int64),
+            bad,
+            _code(worker, worker_index),
+            _code(firm, firm_index),
+            period,
+            values,
+        )
 
 
 def load_panel(path, schema=None, delimiter=",") -> tuple[Panel, ValidationReport]:
@@ -214,9 +346,10 @@ def load_panel(path, schema=None, delimiter=",") -> tuple[Panel, ValidationRepor
     delimiter : field separator, default comma.
 
     Returns the Panel plus a ValidationReport enumerating dropped rows. Rows
-    are dropped (never repaired) when a value fails to parse, a wage or
-    covariate is non-finite, or the (worker, period) pair repeats; for
-    duplicates the first occurrence wins.
+    are dropped (never repaired) when a value fails to parse (a period must
+    fit int64), an id is empty, a wage or covariate is non-finite, or the
+    (worker, period) pair repeats; for duplicates the first occurrence wins.
+    Warnings name the physical line of the row and come in line order.
     """
     schema = dict(schema or {})
     colmap = {k: schema.get(k, k) for k in MANDATORY_COLUMNS}
@@ -225,73 +358,68 @@ def load_panel(path, schema=None, delimiter=",") -> tuple[Panel, ValidationRepor
     if not os.path.exists(path):
         raise ConfigError(f"panel file not found: {path}")
 
-    rows = []
-    warnings: list[str] = []
-    n_read = n_dup = n_nonfinite = n_unparsable = 0
-    seen: set[tuple[str, int]] = set()
-
+    worker_index: dict = {}
+    firm_index: dict = {}
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh, delimiter=delimiter)
-        header = reader.fieldnames or []
+        reader = csv.reader(fh, delimiter=delimiter)
+        # name -> position; the last of duplicate names wins, as in csv.DictReader
+        position = {name: k for k, name in enumerate(next(reader, []))}
         for key, col in colmap.items():
-            if col not in header:
+            if col not in position:
                 raise ConfigError(f"missing mandatory column {col!r} (maps to {key!r})")
         for col in cov_cols:
-            if col not in header:
+            if col not in position:
                 raise ConfigError(f"missing covariate column {col!r}")
+        getters = [itemgetter(position[c]) for c in (*colmap.values(), *cov_cols)]
+        chunks = list(_read_chunks(reader, getters, worker_index, firm_index))
 
-        for lineno, rec in enumerate(reader, start=2):
-            n_read += 1
-            try:
-                worker = rec[colmap["worker"]].strip()
-                firm = rec[colmap["firm"]].strip()
-                period = int(float(rec[colmap["period"]]))
-                wage = _parse_float(rec[colmap["log_wage"]])
-                covs = tuple(_parse_float(rec[c]) for c in cov_cols)
-            except (TypeError, ValueError, AttributeError):
-                n_unparsable += 1
-                warnings.append(f"line {lineno}: unparsable row dropped")
-                continue
-            if not worker or not firm:
-                n_unparsable += 1
-                warnings.append(f"line {lineno}: empty worker or firm id")
-                continue
-            if not math.isfinite(wage) or any(not math.isfinite(c) for c in covs):
-                n_nonfinite += 1
-                warnings.append(f"line {lineno}: non-finite value dropped")
-                continue
-            if (worker, period) in seen:
-                n_dup += 1
-                warnings.append(f"line {lineno}: duplicate (worker, period) dropped")
-                continue
-            seen.add((worker, period))
-            rows.append((worker, firm, period, wage, covs))
+    if not chunks:
+        raise DataError(f"no valid rows in {path}")
+    line, bad, wcode, fcode, period, values = (np.concatenate(c) for c in zip(*chunks))
+    del chunks
 
-    if not rows:
+    status = np.zeros(line.size, dtype=np.int8)
+    status[~np.isfinite(values).all(axis=1)] = _NON_FINITE
+    status[(wcode == worker_index.get("", -1)) | (fcode == firm_index.get("", -1))] = _EMPTY_ID
+    status[bad] = _UNPARSABLE
+    ok = np.flatnonzero(status == 0)
+    if not ok.size:
         raise DataError(f"no valid rows in {path}")
 
-    panel = Panel(
-        worker=[r[0] for r in rows],
-        firm=[r[1] for r in rows],
-        period=[r[2] for r in rows],
-        log_wage=[r[3] for r in rows],
-        covariates=[r[4] for r in rows] if cov_cols else None,
-        covariate_names=tuple(cov_cols),
+    # Every worker of a valid row keeps its first row, so workers are ranked
+    # before duplicates go. The stable sort puts that first row first.
+    worker_ids, widx = _rank(worker_index, wcode[ok])
+    order = np.lexsort((period[ok], widx))
+    rows, widx = ok[order], widx[order]
+    dup = np.zeros(rows.size, dtype=bool)
+    dup[1:] = (widx[1:] == widx[:-1]) & (period[rows[1:]] == period[rows[:-1]])
+    status[rows[dup]] = _DUPLICATE
+    rows, widx = rows[~dup], widx[~dup]
+    firm_ids, fidx = _rank(firm_index, fcode[rows])
+
+    panel = Panel._from_sorted(
+        worker_ids, firm_ids, widx, fidx, period[rows],
+        values[rows, 0], values[rows, 1:], cov_cols,
     )
 
     summaries = {"log_wage": _summary(panel.log_wage)}
     for k, name in enumerate(panel.covariate_names):
         summaries[name] = _summary(panel.covariates[:, k])
 
+    dropped = np.flatnonzero(status)
+    counts = np.bincount(status, minlength=len(_DROP_MESSAGES) + 1)
     report = ValidationReport(
-        rows_read=n_read,
-        rows_kept=len(rows),
-        rows_dropped=n_read - len(rows),
-        duplicate_worker_periods=n_dup,
-        non_finite_values=n_nonfinite,
-        unparsable_rows=n_unparsable,
+        rows_read=line.size,
+        rows_kept=rows.size,
+        rows_dropped=dropped.size,
+        duplicate_worker_periods=int(counts[_DUPLICATE]),
+        non_finite_values=int(counts[_NON_FINITE]),
+        unparsable_rows=int(counts[_UNPARSABLE] + counts[_EMPTY_ID]),
         column_summaries=summaries,
-        warnings=tuple(warnings),
+        warnings=tuple(
+            f"line {n}: {_DROP_MESSAGES[s]}"
+            for n, s in zip(line[dropped].tolist(), status[dropped].tolist())
+        ),
     )
     return panel, report
 
@@ -305,20 +433,23 @@ def _summary(values: np.ndarray) -> dict:
 
 
 def write_panel(panel: Panel, path, delimiter=",") -> None:
-    """Write a Panel back to delimited text. Floats use repr-precision so a
-    write/load round trip reproduces values bit-for-bit."""
+    """Write a Panel back to delimited text, CHUNK_ROWS rows at a time. Floats
+    use repr-precision so a write/load round trip reproduces values bit-for-bit."""
+    worker_ids = np.array(panel.worker_ids, dtype=object)
+    firm_ids = np.array(panel.firm_ids, dtype=object)
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, delimiter=delimiter)
         writer.writerow(["worker", "firm", "period", "log_wage", *panel.covariate_names])
-        for k in range(panel.n_obs):
-            writer.writerow(
-                [
-                    panel.worker_ids[panel.worker_idx[k]],
-                    panel.firm_ids[panel.firm_idx[k]],
-                    int(panel.period[k]),
-                    float.__repr__(float(panel.log_wage[k])),
-                    *[float.__repr__(float(v)) for v in panel.covariates[k]],
-                ]
+        for start in range(0, panel.n_obs, CHUNK_ROWS):
+            rows = slice(start, start + CHUNK_ROWS)
+            floats = [panel.log_wage[rows], *panel.covariates[rows].T]
+            writer.writerows(
+                zip(
+                    worker_ids[panel.worker_idx[rows]].tolist(),
+                    firm_ids[panel.firm_idx[rows]].tolist(),
+                    panel.period[rows].tolist(),
+                    *(map(float.__repr__, c.tolist()) for c in floats),
+                )
             )
 
 
@@ -327,7 +458,8 @@ def restrict_panel(panel: Panel, keep_workers, keep_firms) -> Panel:
 
     `keep_workers` and `keep_firms` are sets of external ids. Internal indices
     are re-densified; external ids are preserved. Raises DataError when the
-    restriction is empty.
+    restriction is empty. Costs O(n + W + F): the kept rows stay sorted and
+    the kept ids stay in order, so nothing is re-sorted or re-checked.
     """
     keep_workers = set(keep_workers)
     keep_firms = set(keep_firms)
@@ -344,15 +476,9 @@ def restrict_panel(panel: Panel, keep_workers, keep_firms) -> Panel:
     if not mask.any():
         raise DataError("restriction produced an empty panel")
 
-    widx = panel.worker_idx[mask]
-    fidx = panel.firm_idx[mask]
-    worker = np.array(panel.worker_ids, dtype=object)[widx]
-    firm = np.array(panel.firm_ids, dtype=object)[fidx]
-    return Panel(
-        worker=worker,
-        firm=firm,
-        period=panel.period[mask],
-        log_wage=panel.log_wage[mask],
-        covariates=panel.covariates[mask],
-        covariate_names=panel.covariate_names,
+    worker_ids, widx = _redensify(panel.worker_ids, panel.worker_idx[mask])
+    firm_ids, fidx = _redensify(panel.firm_ids, panel.firm_idx[mask])
+    return Panel._from_sorted(
+        worker_ids, firm_ids, widx, fidx, panel.period[mask],
+        panel.log_wage[mask], panel.covariates[mask], panel.covariate_names,
     )

@@ -37,6 +37,16 @@ class TestValidate:
         assert fixture_file in manifest["inputs"]
         assert "validation_report.json" in manifest["outputs"]
 
+    @pytest.mark.parametrize("period", ["inf", "1e30"])
+    def test_period_outside_int64_is_dropped(self, tmp_path, period):
+        panel = tmp_path / "dirty.csv"
+        panel.write_text(f"worker,firm,period,log_wage\na,f1,1,1.0\nb,f1,{period},1.0\nb,f1,2,0.5\n")
+        out = tmp_path / "v"
+        assert run_cli("validate", "--panel", str(panel), "--out", str(out)) == 0
+        report = read_json(out / "validation_report.json")
+        assert report["unparsable_rows"] == 1
+        assert report["rows_kept"] == 2
+
     def test_missing_panel_is_config_error(self, tmp_path):
         code = run_cli("validate", "--panel", str(tmp_path / "nope.csv"), "--out", str(tmp_path / "o"))
         assert code == 2
@@ -69,6 +79,13 @@ class TestEstimate:
         assert fit["n_obs"] == 6
         assert fit["dof"] == 2
         assert fit["normalization"] == "mean_zero"
+
+    def test_default_method_is_cg_and_flag_overrides(self, tmp_path, fixture_file):
+        assert run_cli("estimate", "--panel", fixture_file, "--out", str(tmp_path / "cg")) == 0
+        assert read_json(tmp_path / "cg" / "fit.json")["method"] == "conjugate_gradient"
+        out = tmp_path / "zz"
+        assert run_cli("estimate", "--panel", fixture_file, "--out", str(out), "--method", "zigzag") == 0
+        assert read_json(out / "fit.json")["method"] == "zigzag"
 
     def test_disconnected_panel_names_precondition(self, tmp_path):
         panel_file = tmp_path / "disc.csv"

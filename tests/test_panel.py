@@ -1,12 +1,19 @@
+import csv
+import io
+import math
+import random
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import twowayfe.panel
 from twowayfe import (
     ConfigError,
     DataError,
     Panel,
+    ValidationReport,
     load_panel,
     restrict_panel,
     write_panel,
@@ -196,3 +203,247 @@ class TestRestrict:
         p = restrict_panel(exactfit_panel, {"w2", "w3"}, {"f1", "f2"})
         assert set(p.worker_ids) == {"w2", "w3"}
         assert p.worker_index("w2") == 0  # re-densified in sorted id order
+
+
+# -- per-row oracles -----------------------------------------------------------
+
+INT64 = np.iinfo(np.int64)
+
+
+def oracle_load(path, schema=None, delimiter=","):
+    """Reference loader: one csv.DictReader record at a time, Python parses,
+    drops counted and warned with the physical line of the record."""
+    schema = dict(schema or {})
+    colmap = {k: schema.get(k, k) for k in ("worker", "firm", "period", "log_wage")}
+    cov_cols = list(schema.get("covariates", []))
+    rows, warnings = [], []
+    n_read = n_dup = n_nonfinite = n_unparsable = 0
+    seen = set()
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.DictReader(fh, delimiter=delimiter)
+        for rec in reader:
+            n_read += 1
+            lineno = reader.line_num
+            try:
+                worker = rec[colmap["worker"]].strip()
+                firm = rec[colmap["firm"]].strip()
+                period = int(float(rec[colmap["period"]]))
+                if not INT64.min <= period <= INT64.max:
+                    raise OverflowError
+                wage = float(rec[colmap["log_wage"]])
+                covs = tuple(float(rec[c]) for c in cov_cols)
+            except (TypeError, ValueError, AttributeError, OverflowError):
+                n_unparsable += 1
+                warnings.append(f"line {lineno}: unparsable row dropped")
+                continue
+            if not worker or not firm:
+                n_unparsable += 1
+                warnings.append(f"line {lineno}: empty worker or firm id")
+                continue
+            if not math.isfinite(wage) or any(not math.isfinite(c) for c in covs):
+                n_nonfinite += 1
+                warnings.append(f"line {lineno}: non-finite value dropped")
+                continue
+            if (worker, period) in seen:
+                n_dup += 1
+                warnings.append(f"line {lineno}: duplicate (worker, period) dropped")
+                continue
+            seen.add((worker, period))
+            rows.append((worker, firm, period, wage, covs))
+    if not rows:
+        raise DataError(f"no valid rows in {path}")
+    panel = Panel(
+        worker=[r[0] for r in rows],
+        firm=[r[1] for r in rows],
+        period=[r[2] for r in rows],
+        log_wage=[r[3] for r in rows],
+        covariates=[r[4] for r in rows] if cov_cols else None,
+        covariate_names=tuple(cov_cols),
+    )
+    summaries = {
+        name: {"min": float(v.min()), "max": float(v.max()), "mean": float(v.mean())}
+        for name, v in [("log_wage", panel.log_wage)]
+        + [(c, panel.covariates[:, k]) for k, c in enumerate(cov_cols)]
+    }
+    report = ValidationReport(
+        rows_read=n_read,
+        rows_kept=len(rows),
+        rows_dropped=n_read - len(rows),
+        duplicate_worker_periods=n_dup,
+        non_finite_values=n_nonfinite,
+        unparsable_rows=n_unparsable,
+        column_summaries=summaries,
+        warnings=tuple(warnings),
+    )
+    return panel, report
+
+
+def oracle_write(panel, delimiter=","):
+    """Reference writer: one csv.writer row per observation."""
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf, delimiter=delimiter)
+    writer.writerow(["worker", "firm", "period", "log_wage", *panel.covariate_names])
+    for k in range(panel.n_obs):
+        writer.writerow(
+            [
+                panel.worker_ids[panel.worker_idx[k]],
+                panel.firm_ids[panel.firm_idx[k]],
+                int(panel.period[k]),
+                float.__repr__(float(panel.log_wage[k])),
+                *[float.__repr__(float(v)) for v in panel.covariates[k]],
+            ]
+        )
+    return buf.getvalue().encode("utf-8")
+
+
+IDS = ["w1", "w2", "w3", " w2 ", "w,4", 'w"5', "w\n6", "", "  "]
+FIRMS = ["f1", "f2", "f3", "f 1", "f,2", "\tf3", ""]
+PERIODS = ["1", "2", "3", "2.0", "4.9", "-1", "x", "", "nan", "inf", "-inf", "1e30", "1e400"]
+VALUES = ["1.5", "-0.25", "3", "1e-3", "nan", "inf", "-inf", "1e400", "abc", "", " 2.5 "]
+
+
+def dirty_csv(rng, covariates, delimiter):
+    """Text of a random dirty panel file; returns (text, schema)."""
+    header = ["worker", "firm", "period", "log_wage"] + (["x0", "x1"] if covariates else [])
+    header += rng.sample(["note", "worker", "extra"], rng.randint(0, 2))  # maybe a later duplicate
+    rng.shuffle(header)
+    dirty = rng.choice([0.0, 0.05, 0.3])
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf, delimiter=delimiter)
+    writer.writerow(header)
+    rows = []
+    for _ in range(rng.randint(1, 40)):
+        clean = rng.random() >= dirty
+        row = {
+            "worker": rng.choice(IDS[:5] if clean else IDS),
+            "firm": rng.choice(FIRMS[:4] if clean else FIRMS),
+            "period": rng.choice(PERIODS[:6] if clean else PERIODS),
+        }
+        for col in ("log_wage", "x0", "x1", "note", "extra"):
+            row[col] = rng.choice(VALUES[:4] if clean else VALUES)
+        rows.append([row[c] for c in header])
+    rows.append(rows[0])  # a duplicate of a row from the first chunk
+    rows.append([rng.choice(VALUES[4:]) for _ in header])  # a bad row in the last chunk
+    for row in rows:
+        if rng.random() < 0.05:
+            buf.write("\r\n")  # blank line
+        if rng.random() < 0.05:
+            row = row[: rng.randrange(len(row))]  # short row
+        writer.writerow(row)
+    schema = {"covariates": ["x0", "x1"]} if covariates else None
+    return buf.getvalue(), schema
+
+
+class TestLoaderOracle:
+    def test_fuzzed_dirty_files_match_per_row_loader(self, tmp_path, monkeypatch):
+        rng = random.Random(20260501)
+        f = tmp_path / "p.csv"
+        chunks = fallbacks = 0
+        convert_rows = twowayfe.panel._convert_rows
+
+        def counted_convert_rows(*args):
+            nonlocal fallbacks
+            fallbacks += 1
+            return convert_rows(*args)
+
+        monkeypatch.setattr(twowayfe.panel, "_convert_rows", counted_convert_rows)
+        for case in range(320):
+            delimiter = rng.choice([",", ";", "\t"])
+            text, schema = dirty_csv(rng, covariates=case % 2 == 1, delimiter=delimiter)
+            f.write_text(text, encoding="utf-8", newline="")
+            chunk_rows = rng.choice([1, 2, 3, 5, 8, 1000])
+            monkeypatch.setattr(twowayfe.panel, "CHUNK_ROWS", chunk_rows)
+            try:
+                expected = oracle_load(f, schema, delimiter)
+            except DataError:
+                with pytest.raises(DataError):
+                    load_panel(f, schema, delimiter)
+                continue
+            panel, report = load_panel(f, schema, delimiter)
+            assert panel == expected[0], case
+            assert report == expected[1], case
+            chunks += -(-report.rows_read // chunk_rows)
+        # both the column-wise parse and the per-row fallback ran often
+        assert fallbacks > 200 and chunks - fallbacks > 200
+
+    def test_warnings_name_physical_lines_after_blank_lines(self, tmp_path):
+        f = tmp_path / "p.csv"
+        write_lines(
+            f,
+            ["worker,firm,period,log_wage", "a,f1,1,1.0", "", "", "b,f1,1,nan", "c,f2,x,1.0"],
+        )
+        _, report = load_panel(f)
+        assert report.warnings == (
+            "line 5: non-finite value dropped",
+            "line 6: unparsable row dropped",
+        )
+        assert (report.rows_read, report.non_finite_values, report.unparsable_rows) == (3, 1, 1)
+
+    @pytest.mark.parametrize("period", ["inf", "1e400", "1e30", "-inf", "9223372036854775808"])
+    def test_period_outside_int64_is_unparsable(self, tmp_path, period):
+        f = tmp_path / "p.csv"
+        write_lines(
+            f,
+            ["worker,firm,period,log_wage", "a,f1,1,1.0", f"b,f1,{period},1.0", "b,f2,2,0.5"],
+        )
+        panel, report = load_panel(f)
+        assert panel.n_obs == 2
+        assert report.unparsable_rows == 1
+        assert report.warnings == ("line 3: unparsable row dropped",)
+
+
+class TestColumnarOracles:
+    @staticmethod
+    def random_panel(rng, covariates):
+        """A random panel with ids that need quoting; its rows come shuffled."""
+        rows = {}
+        for _ in range(rng.randint(1, 60)):
+            w = rng.choice(["w1", "w2", "w10", "w,3", 'w"4', "w 5", "w\n6", "é7"])
+            rows[(w, rng.randint(-3, 6))] = rng.choice(["f1", "f,2", "f 3", "f10", "F"])
+        keys = list(rows)
+        rng.shuffle(keys)
+        return Panel(
+            worker=[k[0] for k in keys],
+            firm=[rows[k] for k in keys],
+            period=[k[1] for k in keys],
+            log_wage=[rng.uniform(-1e3, 1e3) / rng.choice([1, 3, 7e10]) for _ in keys],
+            covariates=[[rng.gauss(0, 1e5) for _ in range(covariates)] for _ in keys],
+            covariate_names=tuple(f"c{k}" for k in range(covariates)),
+        )
+
+    def test_restrict_equals_rebuilt_panel(self):
+        rng = random.Random(5)
+        lost_workers = 0
+        for case in range(300):
+            panel = self.random_panel(rng, covariates=case % 3)
+            keep_w = {w for w in panel.worker_ids if rng.random() < 0.8} or {panel.worker_ids[0]}
+            keep_f = {f for f in panel.firm_ids if rng.random() < 0.7} or {panel.firm_ids[0]}
+            kept = [o for o in panel.observations() if o.worker in keep_w and o.firm in keep_f]
+            if not kept:
+                with pytest.raises(DataError):
+                    restrict_panel(panel, keep_w, keep_f)
+                continue
+            expected = Panel(
+                worker=[o.worker for o in kept],
+                firm=[o.firm for o in kept],
+                period=[o.period for o in kept],
+                log_wage=[o.log_wage for o in kept],
+                covariates=[o.covariates for o in kept],
+                covariate_names=panel.covariate_names,
+            )
+            got = restrict_panel(panel, keep_w, keep_f)
+            assert got == expected, case
+            assert got.worker_index(got.worker_ids[-1]) == got.n_workers - 1
+            # kept workers whose every firm was dropped vanish from the ids
+            lost_workers += len(keep_w) - got.n_workers
+        assert lost_workers > 50
+
+    def test_write_matches_row_by_row_writer(self, tmp_path, monkeypatch):
+        rng = random.Random(11)
+        f = tmp_path / "p.csv"
+        for case in range(100):
+            panel = self.random_panel(rng, covariates=case % 3)
+            delimiter = rng.choice([",", ";", " "])
+            monkeypatch.setattr(twowayfe.panel, "CHUNK_ROWS", rng.choice([1, 4, 1000]))
+            write_panel(panel, f, delimiter)
+            assert f.read_bytes() == oracle_write(panel, delimiter), case
