@@ -30,7 +30,7 @@ from .network import (
     largest_connected_set,
     leave_one_out_connected_set,
 )
-from .panel import Panel, load_panel, restrict_panel, write_panel
+from .panel import Panel, load_panel, write_panel
 from .simulate import SimConfig, simulate_panel, truth_components
 from .solver import Estimates, SolverConfig, estimate
 
@@ -143,14 +143,12 @@ def _load_config(args) -> dict:
 
 
 def _solver_config(config: dict) -> SolverConfig:
-    # The CLI defaults to CG; the library default stays the paper's zigzag.
-    return SolverConfig(
-        method=config.get("method", "conjugate_gradient"),
-        tol=float(config.get("tol", 1e-10)),
-        max_iter=int(config.get("max_iter", 10000)),
-        normalization=config.get("normalization", "mean_zero"),
-        reference_firm=config.get("reference_firm"),
-    )
+    settings = {k: config[k] for k in ("method", "normalization", "reference_firm") if k in config}
+    if "tol" in config:
+        settings["tol"] = float(config["tol"])
+    if "max_iter" in config:
+        settings["max_iter"] = int(config["max_iter"])
+    return SolverConfig(**settings)
 
 
 def _schema(config: dict) -> dict:
@@ -234,26 +232,21 @@ def _emit_estimates(run: Run, est: Estimates) -> None:
     )
 
 
-def _estimation_inputs(config: dict) -> tuple[Panel, ConnectedSet]:
-    panel = _read_panel(config)
-    if config.get("set"):
-        return panel, _read_set(config["set"])
-    conn = largest_connected_set(build_graph(panel))
-    covers_all = (
-        len(conn.firms) == panel.n_firms and len(conn.workers) == panel.n_workers
-    )
-    if not covers_all:
-        raise DataError(
-            "panel is not a single connected set; run `connect` first and pass "
-            "the membership file via --set"
-        )
-    return panel, conn
+def _fit(config: dict, panel: Panel | None = None, conn: ConnectedSet | None = None) -> Estimates:
+    """The fit on `conn` with the config's solver settings, for every command; with
+    no panel, on the panel and the set file (if any) the config names. A panel that
+    is not one connected set without a set file is a data error raised by `estimate`."""
+    if panel is None:
+        panel = _read_panel(config)
+        conn = _read_set(config["set"]) if config.get("set") else None
+    return estimate(panel, conn, _solver_config(config))
 
 
 # -- commands -------------------------------------------------------------
+# Each takes an earlier stage's products as keyword arguments, or reads them from files.
 
 
-def cmd_validate(config: dict, out_dir: str) -> None:
+def cmd_validate(config: dict, out_dir: str) -> Panel:
     run = Run("validate", out_dir, config, [config.get("panel", "")])
     panel, report = load_panel(
         config.get("panel", ""), _schema(config), config.get("delimiter", ",")
@@ -261,40 +254,40 @@ def cmd_validate(config: dict, out_dir: str) -> None:
     write_panel(panel, run.path("panel.csv"), config.get("delimiter", ","))
     _write_json(run.path("validation_report.json"), report.to_json_dict())
     run.finish()
+    return panel
 
 
-def cmd_connect(config: dict, out_dir: str) -> None:
+def cmd_connect(config: dict, out_dir: str, *, panel=None):
+    """Returns the (largest, leave-one-out) sets, None for a kind not asked for."""
     run = Run("connect", out_dir, config, [config.get("panel", "")])
-    panel = _read_panel(config)
+    panel = _read_panel(config) if panel is None else panel
     graph = build_graph(panel)
     kind = config.get("kind", "largest")
     if kind not in ("largest", "leave_one_out", "both"):
         raise ConfigError(f"unknown connect kind {kind!r}")
-    if kind in ("largest", "both"):
-        _emit_membership(run, "connected_set", largest_connected_set(graph), panel)
-    if kind in ("leave_one_out", "both"):
-        _emit_membership(
-            run, "leave_one_out_set", leave_one_out_connected_set(graph, panel), panel
-        )
+    largest = largest_connected_set(graph) if kind in ("largest", "both") else None
+    loo = leave_one_out_connected_set(graph, panel) if kind in ("leave_one_out", "both") else None
+    for name, conn in (("connected_set", largest), ("leave_one_out_set", loo)):
+        if conn is not None:
+            _emit_membership(run, name, conn, panel)
     run.finish()
+    return largest, loo
 
 
-def cmd_estimate(config: dict, out_dir: str) -> None:
+def cmd_estimate(config: dict, out_dir: str, *, panel=None, conn=None) -> Estimates:
     run = Run("estimate", out_dir, config, [config.get("panel", ""), config.get("set", "")])
-    panel, conn = _estimation_inputs(config)
-    est = estimate(panel, conn, _solver_config(config))
+    est = _fit(config, panel, conn)
     _emit_estimates(run, est)
     run.finish()
+    return est
 
 
-def cmd_decompose(config: dict, out_dir: str) -> None:
+def cmd_decompose(config: dict, out_dir: str, *, fit=None) -> None:
     run = Run("decompose", out_dir, config, [config.get("panel", ""), config.get("set", "")])
-    panel, conn = _estimation_inputs(config)
-    est_panel = restrict_panel(panel, conn.workers, conn.firms)
-    est = estimate(est_panel, None, _solver_config(config))
-    dec = decompose_variance(est_panel, est, bool(config.get("include_covariates", False)))
+    est = _fit(config) if fit is None else fit
+    dec = decompose_variance(est.panel, est, bool(config.get("include_covariates", False)))
     _write_json(run.path("decomposition.json"), dec.to_json_dict())
-    split = between_within_split(est_panel)
+    split = between_within_split(est.panel)
     _write_json(
         run.path("between_within.json"),
         {
@@ -306,22 +299,22 @@ def cmd_decompose(config: dict, out_dir: str) -> None:
     run.finish()
 
 
-def cmd_correct(config: dict, out_dir: str) -> None:
+def cmd_correct(config: dict, out_dir: str, *, panel=None, conn=None, fit=None) -> None:
+    """Corrects `fit`, by default the fit on `conn`; run alone, `conn` is the
+    leave-one-out set for leave_out and the largest set otherwise."""
     run = Run("correct", out_dir, config, [config.get("panel", ""), config.get("set", "")])
-    panel = _read_panel(config)
     method = config.get("correction", "homoskedastic_trace")
     backend = config.get("backend", "exact")
     probes = int(config.get("probes", 100))
     seed = int(config.get("seed", 0))
-    graph = build_graph(panel)
-    if method == "leave_out":
-        conn = leave_one_out_connected_set(graph, panel)
-    else:
-        conn = largest_connected_set(graph)
-    est_panel = restrict_panel(panel, conn.workers, conn.firms)
-    est = estimate(est_panel, None, _solver_config(config))
+    if panel is None:
+        panel = _read_panel(config)
+        graph = build_graph(panel)
+        conn = (leave_one_out_connected_set(graph, panel) if method == "leave_out"
+                else largest_connected_set(graph))
+    est = _fit(config, panel, conn) if fit is None else fit
     dec = corrected_decomposition(
-        est_panel, est, method, backend=backend, probes=probes, seed=seed
+        est.panel, est, method, backend=backend, probes=probes, seed=seed
     )
     out = dec.to_json_dict()
     out["estimation_set"] = connected_set_summary(panel, conn)
@@ -330,7 +323,7 @@ def cmd_correct(config: dict, out_dir: str) -> None:
     out["probes"] = probes if backend == "stochastic" else 0
     out["seed"] = seed
     _write_json(run.path(f"corrected_{method}.json"), out)
-    plug = decompose_variance(est_panel, est)
+    plug = decompose_variance(est.panel, est)
     _write_json(run.path("plug_in.json"), plug.to_json_dict())
     run.finish()
 
@@ -346,7 +339,7 @@ def cmd_subsample(config: dict, out_dir: str) -> None:
         shares=shares,
         replicates=int(config.get("replicates", 1)),
         seed=int(config.get("seed", 0)),
-        solver_config=_solver_config(config) if config.get("method") else None,
+        solver_config=_solver_config(config),
         threads=int(config.get("threads", 1)),
     )
     _write_rows(
@@ -390,9 +383,8 @@ def cmd_eventstudy(config: dict, out_dir: str) -> None:
     ranking = config.get("ranking", "firm_mean_wage")
     estimates = None
     if ranking == "estimated_psi":
-        conn = largest_connected_set(build_graph(panel))
-        panel = restrict_panel(panel, conn.workers, conn.firms)
-        estimates = estimate(panel, None, _solver_config(config))
+        estimates = _fit(config, panel, largest_connected_set(build_graph(panel)))
+        panel = estimates.panel
     table = event_study(panel, ranking, int(config.get("quartiles", 4)), estimates)
     rows = []
     for (oq, dq), means in sorted(table.cell_means.items()):
@@ -434,26 +426,25 @@ def cmd_simulate(config: dict, out_dir: str) -> None:
 
 def cmd_pipeline(config: dict, out_dir: str) -> None:
     """validate -> connect -> estimate -> decompose -> correct, with per-stage
-    artifact directories under --out."""
-    base = dict(config)
-    cmd_validate(base, os.path.join(out_dir, "validate"))
-    clean = dict(base)
+    artifact directories under --out. One load, one graph and one fit per set:
+    the validated panel, both sets and the fits pass between stages in memory,
+    while each stage writes the artifacts and manifest of a standalone run."""
+    clean = {k: v for k, v in config.items() if k != "columns"}
     clean["panel"] = os.path.join(out_dir, "validate", "panel.csv")
-    clean.pop("columns", None)
-
-    cmd_connect({**clean, "kind": "both"}, os.path.join(out_dir, "connect"))
     set_file = os.path.join(out_dir, "connect", "connected_set.csv")
-    cmd_estimate({**clean, "set": set_file}, os.path.join(out_dir, "estimate"))
-    cmd_decompose({**clean, "set": set_file}, os.path.join(out_dir, "decompose"))
-    cmd_correct(
-        {**clean, "correction": "homoskedastic_trace"}, os.path.join(out_dir, "correct")
-    )
-    if bool(config.get("leave_out", False)):
-        cmd_correct(
-            {**clean, "correction": "leave_out"}, os.path.join(out_dir, "correct_leave_out")
-        )
-    run = Run("pipeline", out_dir, config, [config.get("panel", "")])
-    run.finish()
+
+    def stage(name: str, **settings):
+        return {**clean, **settings}, os.path.join(out_dir, name)
+
+    panel = cmd_validate(dict(config), os.path.join(out_dir, "validate"))
+    largest, loo = cmd_connect(*stage("connect", kind="both"), panel=panel)
+    fit = cmd_estimate(*stage("estimate", set=set_file), panel=panel, conn=largest)
+    cmd_decompose(*stage("decompose", set=set_file), fit=fit)
+    cmd_correct(*stage("correct", correction="homoskedastic_trace"), panel=panel, conn=largest, fit=fit)
+    del fit  # frees the fit and its design before the leave-out fit is made
+    if config.get("leave_out"):
+        cmd_correct(*stage("correct_leave_out", correction="leave_out"), panel=panel, conn=loo)
+    Run("pipeline", out_dir, config, [config.get("panel", "")]).finish()
 
 
 HANDLERS = {

@@ -22,12 +22,15 @@ Since sum_o x_o x_o' = S, the homoskedastic trace is also sum_o B_oo, so
 both corrections read one per-observation (P_oo, B_oo) table.
 
 Each correction runs on an exact backend or a stochastic one (Rademacher
-probes, conjugate-gradient solves) for scale. The exact backend builds the
-table once per distinct (worker, firm, covariate row) cell: one pair of
+probes, conjugate-gradient solves) for scale, on the fit's own Design
+(`Estimates.design`). The exact backend builds one table per Design, for all
+components, and keeps it there for every exact correction of that fit. It
+solves once per distinct (worker, firm, covariate row) cell: one pair of
 triangular solves against the Cholesky factor of the (F-1+K)-dimensional
 Schur complement of S, and every B_oo from sums in that space. With
-m = F - 1 + K the cost is O(m^3) for the factor plus O(cells * m^2), and
-memory is the m x m factor plus O(chunk * m) per block of cells; stayer
+m = F - 1 + K the cost is O(m^3) for the factor plus O(cells * m^2); the
+factor lives only while the table is built (memory: m x m arrays plus
+O(chunk * m) per block of cells, then 5 floats per observation kept); stayer
 cells without covariates need no solve. Quadratic-form matrices are never
 materialized; components act through centered selector maps.
 
@@ -47,6 +50,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 
 from .decompose import Decomposition, decompose_variance
 from .design import Design
@@ -157,7 +161,7 @@ def quadratic_form(estimates_or_design, component: str) -> QuadraticForm:
     design = (
         estimates_or_design
         if isinstance(estimates_or_design, Design)
-        else Design(estimates_or_design.panel)
+        else estimates_or_design.design
     )
     return QuadraticForm(component=component, design=design)
 
@@ -217,6 +221,7 @@ def _exact_tables(design: Design, forms: list[QuadraticForm], chunk: int = 512):
     n, F1 = design.n, design.F - 1
     cells = np.column_stack([p.worker_idx, p.firm_idx, p.covariates])
     _, rep, inverse = np.unique(cells, axis=0, return_index=True, return_inverse=True)
+    L = scipy.linalg.cho_factor(design.schur.toarray(), lower=True)[0]
     gtg = design.gtg
     g_sums = np.asarray(design.g_mat.sum(axis=0)).ravel()
     n_firm = design.g_firm[:F1]
@@ -226,7 +231,7 @@ def _exact_tables(design: Design, forms: list[QuadraticForm], chunk: int = 512):
     for lo in range(0, rep.size, chunk):
         obs = rep[lo : lo + chunk]
         cols = slice(lo, lo + obs.size)
-        lev[cols], y = design.solve_for_observations(obs)
+        lev[cols], y = design.solve_for_observations(obs, L)
         y_psi = y[:F1]
         own_psi = np.vstack([y_psi, np.zeros((1, obs.size))])[p.firm_idx[obs], np.arange(obs.size)]
         g_y = own_psi + np.einsum("ij,ji->i", p.covariates[obs], y[F1:])
@@ -248,9 +253,16 @@ def _exact_tables(design: Design, forms: list[QuadraticForm], chunk: int = 512):
     return lev[inverse], {f.component: b[f.component][inverse] for f in forms}
 
 
+def _exact_table(design: Design):
+    """(P_oo, {component: B_oo}) of every component, built once per design."""
+    if design.exact_table is None:
+        design.exact_table = _exact_tables(design, [QuadraticForm(c, design) for c in COMPONENTS])
+    return design.exact_table
+
+
 def exact_trace_quadratic(form: QuadraticForm) -> float:
     """trace(A S^{-1}) = sum_o B_oo, since sum_o x_o x_o' = S."""
-    return float(_exact_tables(form.design, [form])[1][form.component].sum())
+    return float(_exact_table(form.design)[1][form.component].sum())
 
 
 def _stochastic_leverages(design: Design, probes: int, rng, cg_tol: float) -> np.ndarray:
@@ -328,7 +340,7 @@ def compute_leverages(
     design = Design(est_panel)
     form = QuadraticForm(component=component, design=design)
     if backend == "exact":
-        lev, weights = _exact_tables(design, [form])
+        lev, weights = _exact_table(design)
         return LeverageTable(
             leverage=lev,
             component_weight=weights[component],
@@ -373,13 +385,13 @@ def _exact_corrections(estimates: Estimates, forms: list[QuadraticForm], method:
     leave-one-out sigma2_o otherwise."""
     design = forms[0].design
     sigma2 = _sigma2(estimates) if method == "homoskedastic_trace" else None
-    lev, weights = _exact_tables(design, forms)
+    lev, weights = _exact_table(design)
     if sigma2 is None:
         _require_below_one(lev)
         sigma2_obs = design.panel.log_wage * estimates.residuals / (1.0 - lev)
-        bias = {c: float(b @ sigma2_obs) for c, b in weights.items()}
+        bias = {f.component: float(weights[f.component] @ sigma2_obs) for f in forms}
     else:
-        bias = {c: sigma2 * float(b.sum()) for c, b in weights.items()}
+        bias = {f.component: sigma2 * float(weights[f.component].sum()) for f in forms}
     phi = _stacked(design, estimates)
     return {f.component: _result(f, phi, bias[f.component], method, "exact") for f in forms}
 
@@ -481,7 +493,7 @@ def corrected_decomposition(
     if method not in ("homoskedastic_trace", "leave_out"):
         raise ConfigError(f"unknown correction method {method!r}")
     plug = decompose_variance(panel, estimates)
-    design = Design(estimates.panel)
+    design = estimates.design
     forms = [QuadraticForm(c, design) for c in ("var_alpha", "var_psi", "cov_alpha_psi")]
 
     if backend == "exact":

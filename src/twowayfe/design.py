@@ -13,7 +13,7 @@ S phi = D' y with S = D'D, exploiting that the worker block of S is diagonal:
 eliminating it leaves the Schur complement G'G - C' D_w^{-1} C of dimension
 m = F - 1 + K (G the firm/covariate block of D, C = contact). It is assembled
 once as a sparse m x m matrix: CG iterates on it directly, and exact solves
-factorize its dense form.
+run against the Cholesky factor of its dense form, which their caller owns.
 """
 
 from __future__ import annotations
@@ -60,8 +60,7 @@ class Design:
         self.d_worker = np.bincount(w, minlength=self.W).astype(np.float64)
         self.g_firm = np.bincount(f, minlength=self.F).astype(np.float64)
         self.contact = (self.worker_mat.T @ self.g_mat).tocsr()  # W x (F-1+K)
-
-        self._schur_factor = None
+        self.exact_table = None  # (P_oo, {component: B_oo}), see correct._exact_table
 
     # -- block slices ----------------------------------------------------
     @property
@@ -133,11 +132,6 @@ class Design:
         dinv = sp.diags(1.0 / self.d_worker)
         return (self.gtg - self.contact.T @ dinv @ self.contact).tocsr()
 
-    def _ensure_schur(self):
-        """Cholesky factor L (lower triangle) of the Schur complement."""
-        if self._schur_factor is None:
-            self._schur_factor, _ = scipy.linalg.cho_factor(self.schur.toarray(), lower=True)
-
     def schur_diag(self) -> np.ndarray:
         return self.schur.diagonal()
 
@@ -157,9 +151,10 @@ class Design:
         y_a = (b_a - self.contact @ y_g) / self.d_worker[:, None]
         return np.vstack([y_a, y_g])
 
-    def solve_for_observations(self, obs_idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def solve_for_observations(self, obs_idx: np.ndarray, L: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Leverages P_oo and the firm/covariate block y_g of S^{-1} x_o for a
-        batch of observations, y_g stacked as (F-1+K, batch) columns.
+        batch of observations, y_g stacked as (F-1+K, batch) columns. L holds
+        the lower Cholesky factor of the dense Schur complement.
 
         x_o is one worker indicator e_w plus g_o (firm indicator and covariate
         row), so its Schur-reduced right-hand side is t = g_o - contact_w / d_w.
@@ -172,8 +167,6 @@ class Design:
             return 1.0 / d, np.zeros((0, obs_idx.size))
         t = self.g_mat[obs_idx].T.toarray() - self.contact[w_rows].T.toarray() / d
         live = t.any(axis=0)  # t = 0 exactly for a stayer without covariates
-        self._ensure_schur()
-        L = self._schur_factor
         z = scipy.linalg.solve_triangular(L, t[:, live], lower=True, check_finite=False)
         y_g = np.zeros_like(t)
         y_g[:, live] = scipy.linalg.solve_triangular(
@@ -246,12 +239,14 @@ class Design:
 
 
 def check_covariate_collinearity(panel: Panel, tol=1e-10) -> None:
-    """Reject covariates with no variation inside any (worker, firm) cell.
+    """Reject covariates that cannot be separated from the worker and firm
+    effects or from each other; failing here beats a singular solve.
 
-    A column that is constant within every cell lies (at best) in the span of
-    the worker and firm indicators and cannot be separated from them; failing
-    here beats a silently ill-conditioned solve. Raises
-    CollinearCovariateError naming the first offending column.
+    A column constant within every (worker, firm) cell raises
+    CollinearCovariateError (conservatively: its cell-level values need not
+    be additively decomposable). If the columns' within-cell deviations are
+    linearly dependent, their residuals on the worker and firm effects decide
+    (one batched solve), and a DataError names the columns if those are too.
     """
     from .errors import CollinearCovariateError
 
@@ -263,14 +258,34 @@ def check_covariate_collinearity(panel: Panel, tol=1e-10) -> None:
     boundaries = np.flatnonzero(np.diff(sorted_cell)) + 1
     starts = np.concatenate([[0], boundaries])
     counts = np.diff(np.concatenate([starts, [len(cell)]]))
-    for k in range(panel.covariate_count):
-        col = panel.covariates[order, k]
-        cell_sums = np.add.reduceat(col, starts)
-        cell_means = cell_sums / counts
-        resid = col - np.repeat(cell_means, counts)
-        scale = max(1.0, float(np.abs(col).max(initial=0.0)))
-        if np.abs(resid).max(initial=0.0) <= tol * scale:
-            raise CollinearCovariateError(k, panel.covariate_names[k])
+    X = panel.covariates[order]
+    resid = X - np.repeat(np.add.reduceat(X, starts) / counts[:, None], counts, axis=0)
+    scale = np.maximum(1.0, np.abs(X).max(axis=0))
+    flat = np.flatnonzero(np.abs(resid).max(axis=0) <= tol * scale)
+    if flat.size:
+        raise CollinearCovariateError(int(flat[0]), panel.covariate_names[flat[0]])
+    if not _dependent_columns(resid, tol).size:
+        return
+    design = Design(Panel._from_sorted(  # the worker and firm indicators alone
+        panel.worker_ids, panel.firm_ids, panel.worker_idx, panel.firm_idx,
+        panel.period, panel.log_wage, np.empty((panel.n_obs, 0)), ()))
+    fit, _ = design.solve_cg(design.apply_T(panel.covariates))
+    # the solve's error, not the data, sets how small a dependent residual gets
+    dependent = _dependent_columns(panel.covariates - design.apply(fit), np.sqrt(tol))
+    if dependent.size:
+        names = ", ".join(repr(panel.covariate_names[k]) for k in dependent)
+        raise DataError(
+            f"covariate matrix is rank deficient: columns {names} are linearly "
+            f"dependent once the worker and firm effects are removed"
+        )
+
+
+def _dependent_columns(M: np.ndarray, tol: float) -> np.ndarray:
+    """The columns of M in a linear dependence, counting singular values of M
+    scaled to unit columns at or below tol of the largest as zero."""
+    _, sv, vt = np.linalg.svd(M / np.linalg.norm(M, axis=0), full_matrices=False)
+    null = vt[sv <= tol * sv[0]]
+    return np.flatnonzero(np.abs(null).max(axis=0, initial=0.0) > np.sqrt(tol))
 
 
 def check_connected(panel: Panel) -> None:

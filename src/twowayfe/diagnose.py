@@ -127,7 +127,6 @@ def subsample_plot(
     shares = sorted(shares)
     if not shares or shares[0] <= 0 or shares[-1] > 1:
         raise ConfigError("shares must lie in (0, 1]")
-    solver_config = solver_config or SolverConfig(method="conjugate_gradient")
 
     ss = np.random.SeedSequence(seed)
     children = ss.spawn(len(shares) * replicates)

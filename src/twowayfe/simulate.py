@@ -115,6 +115,7 @@ def simulate_panel(config: SimConfig) -> tuple[Panel, SimTruth]:
     alpha = rng.normal(0.0, np.sqrt(cfg.var_alpha_true), W)
     beta = np.asarray(cfg.beta_true, dtype=float)
     weights = _firm_weights(cfg, rng)
+    cum_weights = np.cumsum(weights)
 
     # initial assignment by rank-matching a Gaussian index correlated with alpha
     slots = rng.choice(F, size=W, p=weights)
@@ -140,7 +141,7 @@ def simulate_panel(config: SimConfig) -> tuple[Panel, SimTruth]:
         movers = np.flatnonzero(mover_flag)
         move_period[movers] = rng.integers(2, T + 1, size=movers.size)
         for w in movers:
-            destination[w] = _draw_destination(rng, weights, initial_firm[w], F)
+            destination[w] = _draw_destination(rng, weights, cum_weights, initial_firm[w])
 
     # per-firm noise scale
     if cfg.noise_kind == "homoskedastic":
@@ -166,12 +167,8 @@ def simulate_panel(config: SimConfig) -> tuple[Panel, SimTruth]:
                 if noise_flat[w * T + (t - 1)] * sigma < cfg.shock_threshold:
                     move_period[w] = t + 1
                     destination[w] = _draw_destination(
-                        rng,
-                        weights,
-                        initial_firm[w],
-                        F,
-                        psi=psi,
-                        up_probability=cfg.shock_up_probability,
+                        rng, weights, cum_weights, initial_firm[w],
+                        psi=psi, up_probability=cfg.shock_up_probability,
                     )
                     break
 
@@ -215,16 +212,23 @@ def simulate_panel(config: SimConfig) -> tuple[Panel, SimTruth]:
     return panel, truth
 
 
-def _draw_destination(rng, weights, origin, F, psi=None, up_probability=None):
+def _draw_destination(rng, weights, cum_weights, origin, psi=None, up_probability=None):
+    """A firm other than `origin`, drawn in proportion to its weight: outside the
+    shock-driven branch, in O(log F) from one uniform, as `rng.choice(F, p=w)`
+    draws with the origin's weight zeroed."""
     if psi is not None and rng.random() < up_probability:
         better = np.flatnonzero(psi > psi[origin])
         if better.size:
             w = weights[better] / weights[better].sum()
             return int(rng.choice(better, p=w))
-    w = weights.copy()
-    w[origin] = 0.0
-    w /= w.sum()
-    return int(rng.choice(F, p=w))
+    # a point past the firms before the origin skips its interval; the last
+    # candidate firm takes what rounding leaves over
+    u = rng.random() * (cum_weights[-1] - weights[origin])
+    last = len(cum_weights) - 1
+    if origin == last or (origin and u < cum_weights[origin - 1]):
+        return int(np.searchsorted(cum_weights[: origin - 1], u, side="right"))
+    after = np.searchsorted(cum_weights[origin + 1 : last], u + weights[origin], side="right")
+    return origin + 1 + int(after)
 
 
 def truth_components(truth: SimTruth, conn: ConnectedSet, panel: Panel) -> Decomposition:

@@ -12,9 +12,9 @@ zigzag : alternating exact minimization. Given psi and beta, each alpha_i is a
     worker-specific average; given alpha and beta, each psi_j is a
     firm-specific average; given both, beta is a small dense regression on
     partial residuals. Iterate to a fixed point.
-conjugate_gradient : eliminate the worker effects analytically and run
-    preconditioned CG on the remaining firm/covariate system. Scales to
-    millions of observations.
+conjugate_gradient : the default. Eliminate the worker effects analytically
+    and run preconditioned CG on the remaining firm/covariate system. Scales
+    to millions of observations.
 dense_oracle : explicit dense normal-equations solve via lstsq; small panels
     only, used as the reference the iterative methods are checked against.
 first_differences : difference consecutive observations within worker so the
@@ -25,6 +25,7 @@ first_differences : difference consecutive observations within worker so the
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg
@@ -42,18 +43,15 @@ NORMALIZATIONS = ("mean_zero", "reference_firm")
 
 @dataclass(frozen=True)
 class SolverConfig:
-    method: str = "zigzag"
+    method: str = "conjugate_gradient"
     tol: float = 1e-10  # max-abs parameter change between sweeps
     max_iter: int = 10000
-    acceleration: str = "none"  # "none" or "aitken"
     normalization: str = "mean_zero"
     reference_firm: str | None = None  # external id, required for reference_firm
 
     def __post_init__(self):
         if self.method not in METHODS:
             raise ConfigError(f"unknown method {self.method!r}")
-        if self.acceleration not in ("none", "aitken"):
-            raise ConfigError(f"unknown acceleration {self.acceleration!r}")
         if self.normalization not in NORMALIZATIONS:
             raise ConfigError(f"unknown normalization {self.normalization!r}")
         if self.tol <= 0:
@@ -82,6 +80,12 @@ class Estimates:
     iterations: int
     final_change: float
     rss: float = field(default=0.0)
+
+    @cached_property
+    def design(self) -> Design:
+        """The estimation panel's Design, built on first use and shared by every
+        correction of this fit."""
+        return Design(self.panel)
 
     def alpha_of(self, worker_id: str) -> float:
         return float(self.alpha[self.panel.worker_index(worker_id)])
@@ -135,14 +139,6 @@ def _finish(panel, alpha, psi, beta, config, iterations, final_change) -> Estima
     )
 
 
-def _restrict_to_set(panel: Panel, conn: ConnectedSet | None) -> Panel:
-    if conn is None:
-        return panel
-    if set(panel.firm_ids) == conn.firms and set(panel.worker_ids) == conn.workers:
-        return panel
-    return restrict_panel(panel, conn.workers, conn.firms)
-
-
 def estimate(panel: Panel, conn: ConnectedSet | None = None, config: SolverConfig | None = None) -> Estimates:
     """Estimate worker effects, firm effects, and covariate coefficients.
 
@@ -151,7 +147,9 @@ def estimate(panel: Panel, conn: ConnectedSet | None = None, config: SolverConfi
     only: all methods converge to the same least-squares solution.
     """
     config = config or SolverConfig()
-    est_panel = _restrict_to_set(panel, conn)
+    est_panel = panel
+    if conn is not None and (set(panel.firm_ids), set(panel.worker_ids)) != (conn.firms, conn.workers):
+        est_panel = restrict_panel(panel, conn.workers, conn.firms)
     check_connected(est_panel)
     check_covariate_collinearity(est_panel)
     if config.method == "zigzag":
@@ -160,7 +158,7 @@ def estimate(panel: Panel, conn: ConnectedSet | None = None, config: SolverConfi
         return _estimate_cg(est_panel, config)
     if config.method == "dense_oracle":
         return _estimate_dense(est_panel, config)
-    return estimate_first_differences(est_panel, None, config)
+    return _estimate_first_differences(est_panel, config)
 
 
 def _estimate_zigzag(panel: Panel, config: SolverConfig) -> Estimates:
@@ -191,32 +189,12 @@ def _estimate_zigzag(panel: Panel, config: SolverConfig) -> Estimates:
         shift = psi.mean()
         return alpha + shift, psi - shift, beta
 
-    def rss_of(alpha, psi, beta):
-        xb = X @ beta if K else 0.0
-        r = y - xb - alpha[w] - psi[f]
-        return r @ r
-
     prev = np.concatenate([alpha, psi, beta])
     change = np.inf
     for it in range(1, config.max_iter + 1):
         alpha, psi, beta = sweep(alpha, psi, beta)
         cur = np.concatenate([alpha, psi, beta])
         change = float(np.abs(cur - prev).max())
-
-        if config.acceleration == "aitken" and it % 5 == 0 and it >= 10:
-            # componentwise Aitken extrapolation, accepted only if it lowers
-            # the objective so descent stays monotone
-            d2 = cur - prev
-            d1 = prev - prev2
-            denom = d2 - d1
-            safe = np.abs(denom) > 1e-14
-            acc = cur.copy()
-            acc[safe] = cur[safe] - d2[safe] ** 2 / denom[safe]
-            a_acc, p_acc, b_acc = acc[:W], acc[W : W + F], acc[W + F :]
-            if rss_of(a_acc, p_acc, b_acc) < rss_of(alpha, psi, beta):
-                alpha, psi, beta = a_acc, p_acc, b_acc
-                cur = acc
-        prev2 = prev
         prev = cur
         if change < config.tol:
             return _finish(panel, alpha, psi, beta, config, it, change)
@@ -263,14 +241,13 @@ def estimate_first_differences(
     squares on the differenced rows, and alpha is recovered afterwards as the
     worker mean of Y - X beta - psi. The usual normalization is then applied.
     """
-    config = config or SolverConfig(method="first_differences")
-    est_panel = _restrict_to_set(panel, conn)
-    check_connected(est_panel)
-    check_covariate_collinearity(est_panel)
+    return estimate(panel, conn, replace(config or SolverConfig(), method="first_differences"))
 
-    w, f, y = est_panel.worker_idx, est_panel.firm_idx, est_panel.log_wage
-    X = est_panel.covariates
-    F, K = est_panel.n_firms, est_panel.covariate_count
+
+def _estimate_first_differences(panel: Panel, config: SolverConfig) -> Estimates:
+    w, f, y = panel.worker_idx, panel.firm_idx, panel.log_wage
+    X = panel.covariates
+    F, K = panel.n_firms, panel.covariate_count
 
     same_worker = w[1:] == w[:-1]
     rows = np.flatnonzero(same_worker)  # diff pairs (k, k+1)
@@ -307,11 +284,9 @@ def estimate_first_differences(
     beta = theta[F - 1 :]
 
     xb = X @ beta if K else 0.0
-    alpha = np.bincount(w, weights=y - xb - psi[f], minlength=est_panel.n_workers)
-    alpha /= np.bincount(w, minlength=est_panel.n_workers)
-
-    cfg = replace(config, method="first_differences")
-    return _finish(est_panel, alpha, psi, beta, cfg, int(itn), 0.0)
+    alpha = np.bincount(w, weights=y - xb - psi[f], minlength=panel.n_workers)
+    alpha /= np.bincount(w, minlength=panel.n_workers)
+    return _finish(panel, alpha, psi, beta, config, int(itn), 0.0)
 
 
 def predict(estimates: Estimates, worker: str, firm: str, covariates=()) -> float:

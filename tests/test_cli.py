@@ -1,9 +1,11 @@
 import json
 import os
+import sys
 
 import pytest
 
-from twowayfe import write_panel
+from twowayfe import SimConfig, simulate_panel, write_panel
+from twowayfe import cli
 from twowayfe.cli import main
 
 
@@ -175,6 +177,95 @@ class TestPipeline:
         assert summary["flavor"] == "ground_truth"
 
 
+def covariate_csv(tmp_path, duplicate=False):
+    """A simulated panel with two covariates, written under renamed columns."""
+    panel, _ = simulate_panel(SimConfig(
+        n_workers=200, n_firms=20, n_periods=4, covariate_count=2,
+        beta_true=(0.3, -0.1), seed=7,
+    ))
+    path = tmp_path / "raw.csv"
+    write_panel(panel, path)
+    lines = path.read_text().splitlines()
+    if duplicate:  # the second covariate repeats the first
+        lines = [line.rsplit(",", 1)[0] + "," + line.split(",")[4] for line in lines]
+    lines[0] = "id,employer,year,lw,exper,tenure"
+    path.write_text("\n".join(lines) + "\n")
+    config = {
+        "columns": {"worker": "id", "firm": "employer", "period": "year", "log_wage": "lw"},
+        "covariates": ["exper", "tenure"],
+    }
+    return str(path), config
+
+
+def artifact_tree(root):
+    """Every file under root by relative path; manifests without their duration."""
+    files = {}
+    for dirpath, _, names in os.walk(root):
+        for name in names:
+            path = os.path.join(dirpath, name)
+            with open(path, "rb") as fh:
+                data = fh.read()
+            if name == "manifest.json":
+                data = json.loads(data)
+                data.pop("duration_seconds")
+            files[os.path.relpath(path, root)] = data
+    return files
+
+
+def count_calls(monkeypatch, module, name):
+    """Wrap module.name wherever a twowayfe module binds it; returns the call log."""
+    original = getattr(module, name)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return original(*args, **kwargs)
+
+    for mod in list(sys.modules.values()):
+        if mod.__name__.startswith("twowayfe") and getattr(mod, name, None) is original:
+            monkeypatch.setattr(mod, name, counted)
+    return calls
+
+
+class TestPipelineInMemory:
+    @pytest.mark.parametrize("backend", ("exact", "stochastic"))
+    def test_same_bytes_as_chained_standalone_commands(self, tmp_path, backend):
+        raw, settings = covariate_csv(tmp_path)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({**settings, "backend": backend, "probes": 20}))
+        out = tmp_path / "out"
+        assert main(["pipeline", "--leave-out", "--panel", raw, "--config", str(cfg), "--out", str(out)]) == 0
+        out.rename(tmp_path / "in_memory")
+
+        # each stage on its own, reading what the previous one wrote
+        config = {**json.loads(cfg.read_text()), "panel": raw, "leave_out": True}
+        cli.cmd_validate(dict(config), str(out / "validate"))
+        clean = {k: v for k, v in config.items() if k != "columns"}
+        clean["panel"] = str(out / "validate" / "panel.csv")
+        set_file = str(out / "connect" / "connected_set.csv")
+        cli.cmd_connect({**clean, "kind": "both"}, str(out / "connect"))
+        cli.cmd_estimate({**clean, "set": set_file}, str(out / "estimate"))
+        cli.cmd_decompose({**clean, "set": set_file}, str(out / "decompose"))
+        cli.cmd_correct({**clean, "correction": "homoskedastic_trace"}, str(out / "correct"))
+        cli.cmd_correct({**clean, "correction": "leave_out"}, str(out / "correct_leave_out"))
+        cli.Run("pipeline", str(out), config, [raw]).finish()
+
+        in_memory = artifact_tree(tmp_path / "in_memory")
+        assert "correct_leave_out/corrected_leave_out.json" in in_memory
+        assert in_memory == artifact_tree(out)
+
+    def test_one_load_one_graph_one_fit_per_set(self, tmp_path, monkeypatch):
+        raw, settings = covariate_csv(tmp_path)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(settings))
+        loads = count_calls(monkeypatch, cli, "load_panel")
+        graphs = count_calls(monkeypatch, cli, "build_graph")
+        fits = count_calls(monkeypatch, cli, "estimate")
+        argv = ["pipeline", "--leave-out", "--panel", raw, "--config", str(cfg), "--out", str(tmp_path / "p")]
+        assert main(argv) == 0
+        assert (len(loads), len(graphs), len(fits)) == (1, 1, 2)
+
+
 class TestCorrectAndDiagnostics:
     def test_correct_outputs_schema(self, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -261,6 +352,16 @@ class TestCorrectAndDiagnostics:
             "--out", str(tmp_path / "o"),
         )
         assert code == 2
+
+    def test_rank_deficient_covariates_are_data_error(self, tmp_path, capsys):
+        raw, settings = covariate_csv(tmp_path, duplicate=True)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(settings))
+        code = run_cli("estimate", "--panel", raw, "--config", str(cfg), "--out", str(tmp_path / "e"))
+        assert code == 3
+        err = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+        assert "rank deficient" in err["error"]["message"]
+        assert "'exper', 'tenure'" in err["error"]["message"]
 
     def test_non_convergence_is_numerical_error(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

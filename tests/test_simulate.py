@@ -192,3 +192,23 @@ class TestExogeneity:
         # biggest firms got the smallest variances
         big = sizes >= np.median(sizes)
         assert truth.firm_sigma2[big].mean() < truth.firm_sigma2[~big].mean()
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_destination_draw_matches_weighted_choice(seed):
+    """The O(log F) destination draw picks the firm a weighted `rng.choice`
+    over the other firms picks, from the same single uniform, so the random
+    stream after it is unchanged too."""
+    from twowayfe.simulate import _draw_destination, _firm_weights
+
+    F = 40
+    weights = _firm_weights(SimConfig(n_firms=F, network="size_skewed"), np.random.default_rng(seed))
+    cum_weights = np.cumsum(weights)
+    for origin in (0, F - 1, 1, F // 2):
+        old_rng, new_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        p = weights.copy()
+        p[origin] = 0.0
+        p /= p.sum()
+        for _ in range(500):
+            expected = int(old_rng.choice(F, p=p))
+            assert _draw_destination(new_rng, weights, cum_weights, origin) == expected
