@@ -1,0 +1,113 @@
+#!/usr/bin/env python3
+"""Time the exact leave-out correction at criterion-13 scale (ROADMAP size L).
+
+Simulates the criterion-13 panel (100k workers, 10k firms, T=10, seed 99),
+extracts its leave-one-out connected set, fits it by conjugate gradient, and
+times one exact leave-out `corrected_decomposition` on that fit, the exact
+(P_oo, B_oo) table included. The result is stored under `--label` in a JSON
+file that keeps the runs of other labels, so one file can hold a run of the
+parent commit and one of a change:
+
+    python3 scripts/bench_exact_L.py --label change
+
+The package is imported from `src/` of the checkout this script sits in, and
+BLAS is held at 2 threads, as in `perfbench/run.py`, whose source digest the
+run records. Peak RSS is the process's `ru_maxrss`, so it includes simulation
+and the fit (`setup_peak_rss_mb` is its value before the timed call).
+"""
+
+import argparse
+import json
+import os
+import platform
+import resource
+import sys
+import time
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path[:0] = [ROOT, os.path.join(ROOT, "src")]
+
+from perfbench.run import BLAS_THREADS, _source_digest  # noqa: E402  (pins BLAS threads)
+
+import numpy as np  # noqa: E402
+import scipy  # noqa: E402
+
+import twowayfe as tw  # noqa: E402
+
+CRITERION_13 = dict(
+    n_workers=100_000, n_firms=10_000, n_periods=10, movers_share=0.3,
+    var_alpha_true=0.2, var_psi_true=0.05, corr_sorting=0.15, noise_sigma2=0.1, seed=99,
+)
+
+
+def _peak_rss_mb() -> float:
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0  # KiB on Linux
+
+
+def run() -> dict:
+    panel, _ = tw.simulate_panel(tw.SimConfig(**CRITERION_13))
+    loo = tw.leave_one_out_connected_set(tw.build_graph(panel), panel)
+    loo_panel = tw.restrict_panel(panel, loo.workers, loo.firms)
+    est = tw.estimate(loo_panel, None, tw.SolverConfig(method="conjugate_gradient"))
+    setup_peak = _peak_rss_mb()
+
+    t0 = time.perf_counter()
+    dec = tw.corrected_decomposition(loo_panel, est, "leave_out", backend="exact")
+    seconds = time.perf_counter() - t0
+
+    design = est.design
+    leverage = design.exact_table[0]
+    cells = np.unique(loo_panel.worker_idx * loo_panel.n_firms + loo_panel.firm_idx)
+    cells_per_worker = np.bincount(cells // loo_panel.n_firms, minlength=loo_panel.n_workers)
+    return {
+        "seconds": round(seconds, 2),
+        "peak_rss_mb": round(_peak_rss_mb(), 1),
+        "setup_peak_rss_mb": round(setup_peak, 1),
+        "obs": loo_panel.n_obs,
+        "workers": loo_panel.n_workers,
+        "firms": loo_panel.n_firms,
+        "m": design.F - 1 + design.K,
+        "cells": int(cells.size),
+        "mover_cells": int((cells_per_worker[cells // loo_panel.n_firms] > 1).sum()),
+        "leverage_sum_minus_rank": float(leverage.sum() - design.p),
+        "max_leverage": float(leverage.max()),
+        "corrected": {k: float(v) for k, v in dec.components.items()},
+        "source_sha256": _source_digest(),
+    }
+
+
+def main(argv=None) -> int:
+    p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    p.add_argument("--label", required=True, help="key of this run in the output file")
+    p.add_argument("--out", default=os.path.join(ROOT, "BENCH_exact_leave_out_L.json"))
+    args = p.parse_args(argv)
+
+    record = {"runs": {}}
+    if os.path.exists(args.out):
+        with open(args.out, encoding="utf-8") as fh:
+            record = json.load(fh)
+    result = run()
+    record["benchmark"] = (
+        "exact leave-out corrected_decomposition on the leave-one-out set of the "
+        "criterion-13 panel"
+    )
+    record["panel"] = CRITERION_13
+    record["runs"][args.label] = {
+        **result,
+        "environment": {
+            "nproc": os.cpu_count(),
+            "blas_threads": BLAS_THREADS,
+            "python": platform.python_version(),
+            "numpy": np.__version__,
+            "scipy": scipy.__version__,
+        },
+    }
+    with open(args.out, "w", encoding="utf-8") as fh:
+        json.dump(record, fh, indent=2)
+        fh.write("\n")
+    print(json.dumps({args.label: result}))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

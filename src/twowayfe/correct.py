@@ -24,14 +24,13 @@ both corrections read one per-observation (P_oo, B_oo) table.
 Each correction runs on an exact backend or a stochastic one (Rademacher
 probes, conjugate-gradient solves) for scale, on the fit's own Design
 (`Estimates.design`). The exact backend builds one table per Design, for all
-components, and keeps it there for every exact correction of that fit. It
-solves once per distinct (worker, firm, covariate row) cell: one pair of
-triangular solves against the Cholesky factor of the (F-1+K)-dimensional
-Schur complement of S, and every B_oo from sums in that space. With
-m = F - 1 + K the cost is O(m^3) for the factor plus O(cells * m^2); the
-factor lives only while the table is built (memory: m x m arrays plus
-O(chunk * m) per block of cells, then 5 floats per observation kept); stayer
-cells without covariates need no solve. Quadratic-form matrices are never
+components, and keeps it there for every exact correction of that fit. Per
+distinct (worker, firm, covariate row) cell it forms y = V t, V the explicit
+inverse of the m = (F-1+K)-dimensional Schur complement of S and t sparse,
+and every B_oo from sums in that space: O(m^3) for V plus O(m * nnz(t)) per
+mover cell (stayer cells without covariates need no product). Memory is one
+m x m array while the table is built, plus chunk * m per block of cells, then
+5 floats per observation kept. Quadratic-form matrices are never
 materialized; components act through centered selector maps.
 
 The stochastic backend draws its probes in blocks of k (set by a fixed byte
@@ -50,7 +49,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .decompose import Decomposition, decompose_variance
 from .design import Design
@@ -207,40 +205,46 @@ def hutchinson_trace_quadratic(
 
 def _exact_tables(design: Design, forms: list[QuadraticForm], chunk: int = 512):
     """Exact leverages P_oo and the B_oo weights of every requested form, per
-    observation, from one Schur solve per distinct (worker, firm, covariate
-    row) cell, `chunk` cells at a time.
+    observation, from V = the inverse of the Schur complement, once per
+    distinct (worker, firm, covariate row) cell, `chunk` cells at a time.
 
-    Split u = S^{-1} x_o as (a, y) over the worker block and the
-    firm/covariate block G of D. Then D u = a_{w(.)} + G y, ||D u||^2 = P_oo,
-    G' D u = g_o and 1' D u = 1, so every person-year sum that B_oo needs is
-    an (F-1+K)-space expression in y: sum d a^2 = P_oo - 2 g_o'y + y'G'G y,
-    sum d a = 1 - 1'G y, and with psi = (y_psi, 0) over firms: sum n psi^2,
-    sum n psi and sum a psi = psi_{j(o)} - y_psi'(G'G y)_psi.
+    Split u = S^{-1} x_o as (a, y) over the worker block and the firm/covariate
+    block G of D: y = V t for t = g_o - contact_w / d_w, nonzero only on the
+    worker's firms and the covariates, P_oo = 1/d_w + t'y, D u = a_{w(.)} + G y,
+    ||D u||^2 = P_oo, G' D u = g_o and 1' D u = 1, so every person-year sum
+    that B_oo needs is an (F-1+K)-space expression in y: sum d a^2 = P_oo -
+    2 g_o'y + y'G'G y, sum d a = 1 - 1'G y, and with psi = (y_psi, 0) over
+    firms: sum n psi^2, sum n psi and sum a psi = psi_{j(o)} - y_psi'(G'G y)_psi.
     """
     p = design.panel
     n, F1 = design.n, design.F - 1
     cells = np.column_stack([p.worker_idx, p.firm_idx, p.covariates])
     _, rep, inverse = np.unique(cells, axis=0, return_index=True, return_inverse=True)
-    L = scipy.linalg.cho_factor(design.schur.toarray(), lower=True)[0]
-    gtg = design.gtg
+    d = design.d_worker[p.worker_idx[rep]]
+    contact = design.contact[p.worker_idx[rep]]
+    contact.data /= np.repeat(d, np.diff(contact.indptr))  # divided, so stayers get t = 0 exactly
+    T = design.g_mat[rep] - contact  # CSR difference: zeros are not stored
+    live = np.flatnonzero(np.diff(T.indptr))
+    V = design.schur_inverse() if live.size else None
     g_sums = np.asarray(design.g_mat.sum(axis=0)).ravel()
     n_firm = design.g_firm[:F1]
 
-    lev = np.empty(rep.size)
-    sums = np.empty((5, rep.size))  # sum d a^2, sum d a, sum n psi^2, sum n psi, sum a psi
-    for lo in range(0, rep.size, chunk):
-        obs = rep[lo : lo + chunk]
-        cols = slice(lo, lo + obs.size)
-        lev[cols], y = design.solve_for_observations(obs, L)
+    lev = 1.0 / d
+    # sum d a^2, sum d a, sum n psi^2, sum n psi, sum a psi; their values at y = 0
+    sums = np.vstack([lev, np.ones_like(lev), np.zeros((3, lev.size))])
+    for lo in range(0, live.size, chunk):
+        c = live[lo : lo + chunk]
+        t = T[c]
+        y = np.ascontiguousarray((t @ V).T)  # column i is V t_i, V being symmetric
+        lev[c] += np.asarray(t.multiply(y.T).sum(axis=1)).ravel()
         y_psi = y[:F1]
-        own_psi = np.vstack([y_psi, np.zeros((1, obs.size))])[p.firm_idx[obs], np.arange(obs.size)]
-        g_y = own_psi + np.einsum("ij,ji->i", p.covariates[obs], y[F1:])
-        gtg_y = gtg @ y
-        sums[0, cols] = lev[cols] - 2.0 * g_y + np.einsum("ij,ij->j", y, gtg_y)
-        sums[1, cols] = 1.0 - g_sums @ y
-        sums[2, cols] = n_firm @ y_psi**2
-        sums[3, cols] = n_firm @ y_psi
-        sums[4, cols] = own_psi - np.einsum("ij,ij->j", y_psi, gtg_y[:F1])
+        g_y = np.asarray(design.g_mat[rep[c]].multiply(y.T).sum(axis=1)).ravel()
+        own_psi = g_y - np.einsum("ij,ji->i", p.covariates[rep[c]], y[F1:])
+        gtg_y = design.gtg @ y
+        sums[0, c] = lev[c] - 2.0 * g_y + np.einsum("ij,ij->j", y, gtg_y)
+        sums[1, c] = 1.0 - g_sums @ y
+        sums[2, c], sums[3, c] = n_firm @ y_psi**2, n_firm @ y_psi
+        sums[4, c] = own_psi - np.einsum("ij,ij->j", y_psi, gtg_y[:F1])
 
     sa2, sa, sp2, sp, sap = sums
     b = {
@@ -327,8 +331,8 @@ def compute_leverages(
 ) -> LeverageTable:
     """Per-observation leverages and component weights on a connected set.
 
-    Exact backend: one Schur solve per distinct (worker, firm, covariate row)
-    cell, broadcast to its observations; the leverages sum to the design rank.
+    Exact backend: one y = V t per distinct (worker, firm, covariate row) cell,
+    broadcast to its observations; the leverages sum to the design rank.
     Stochastic backend: JLA-normalized leverages P^/(P^ + M^) in (0, 1] and
     unbiased Rademacher-probe weights B_oo, with the same probes for every
     block width. The ratio is not unbiased; the small-sample nonlinearity it

@@ -12,8 +12,8 @@ of length p = W + F - 1 + K. All solvers work on the normal equations
 S phi = D' y with S = D'D, exploiting that the worker block of S is diagonal:
 eliminating it leaves the Schur complement G'G - C' D_w^{-1} C of dimension
 m = F - 1 + K (G the firm/covariate block of D, C = contact). It is assembled
-once as a sparse m x m matrix: CG iterates on it directly, and exact solves
-run against the Cholesky factor of its dense form, which their caller owns.
+once as a sparse m x m matrix: CG iterates on it directly, and the exact
+backend reads its dense inverse from `schur_inverse`, built on each call.
 """
 
 from __future__ import annotations
@@ -74,9 +74,6 @@ class Design:
     @property
     def beta_slice(self):
         return slice(self.W + self.F - 1, self.p)
-
-    def rank(self) -> int:
-        return self.p
 
     # -- design application ------------------------------------------------
     def apply(self, phi: np.ndarray) -> np.ndarray:
@@ -151,30 +148,28 @@ class Design:
         y_a = (b_a - self.contact @ y_g) / self.d_worker[:, None]
         return np.vstack([y_a, y_g])
 
-    def solve_for_observations(self, obs_idx: np.ndarray, L: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Leverages P_oo and the firm/covariate block y_g of S^{-1} x_o for a
-        batch of observations, y_g stacked as (F-1+K, batch) columns. L holds
-        the lower Cholesky factor of the dense Schur complement.
-
-        x_o is one worker indicator e_w plus g_o (firm indicator and covariate
-        row), so its Schur-reduced right-hand side is t = g_o - contact_w / d_w.
-        With z = L^{-1} t: P_oo = 1/d_w + ||z||^2 and y_g = L^{-T} z. The
-        worker block (e_w - contact y_g) / d_w is never formed.
-        """
-        w_rows = self.panel.worker_idx[obs_idx]
-        d = self.d_worker[w_rows]
-        if self.F - 1 + self.K == 0:  # single firm, no covariates: S is diagonal
-            return 1.0 / d, np.zeros((0, obs_idx.size))
-        t = self.g_mat[obs_idx].T.toarray() - self.contact[w_rows].T.toarray() / d
-        live = t.any(axis=0)  # t = 0 exactly for a stayer without covariates
-        z = scipy.linalg.solve_triangular(L, t[:, live], lower=True, check_finite=False)
-        y_g = np.zeros_like(t)
-        y_g[:, live] = scipy.linalg.solve_triangular(
-            L, z, lower=True, trans="T", check_finite=False
-        )
-        leverage = 1.0 / d
-        leverage[live] += np.einsum("ij,ij->j", z, z)
-        return leverage, y_g
+    def schur_inverse(self) -> np.ndarray:
+        """V, the inverse of the dense m x m Schur complement, C-ordered (V is
+        symmetric). cho_factor and LAPACK dpotri overwrite one Fortran-ordered
+        array in place; dpotri's lower triangle is mirrored a block of rows at
+        a time. A NumericalError names m, the 8 m^2 bytes and the stochastic
+        backend if that array cannot be allocated."""
+        m = self.F - 1 + self.K
+        try:
+            V = self.schur.toarray(order="F")
+        except MemoryError:
+            raise NumericalError(
+                f"the exact backend needs a dense {m} x {m} Schur matrix ({8 * m * m} "
+                f"bytes), which could not be allocated; use backend='stochastic'"
+            ) from None
+        V = scipy.linalg.cho_factor(V, lower=True, overwrite_a=True, check_finite=False)[0]
+        V, info = scipy.linalg.lapack.dpotri(V, lower=1, overwrite_c=1)
+        if info:
+            raise NumericalError(f"LAPACK dpotri failed on the Schur factor (info={info})")
+        for lo in range(0, m, 256):  # rows lo:hi of the upper triangle from columns lo:hi
+            hi = min(lo + 256, m)
+            V[lo:hi, lo:] = np.triu(V[lo:, lo:hi].T) + np.tril(V[lo:hi, lo:], -1)
+        return V.T
 
     def solve_cg(self, b: np.ndarray, rtol=1e-12, maxiter=10000):
         """S^{-1} b for b of shape (p,) or (p, k), by Jacobi-preconditioned

@@ -344,6 +344,29 @@ class TestCorrectAndDiagnostics:
         assert lines[0] == "origin_quartile,destination_quartile,event_time,mean_log_wage,cell_count"
         assert len(lines) > 1
 
+    def test_schur_allocation_failure_is_numerical_error(self, tmp_path, capsys, monkeypatch):
+        import scipy.sparse
+
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"n_workers": 150, "n_firms": 10, "n_periods": 3,
+                                   "movers_share": 0.5, "noise_sigma2": 0.05, "seed": 3}))
+        sim_out = tmp_path / "sim"
+        assert run_cli("simulate", "--config", str(cfg), "--out", str(sim_out)) == 0
+
+        def no_memory(self, *args, **kwargs):
+            raise MemoryError
+
+        monkeypatch.setattr(scipy.sparse.csr_matrix, "toarray", no_memory)
+        code = run_cli(
+            "correct", "--panel", str(sim_out / "panel.csv"), "--backend", "exact",
+            "--out", str(tmp_path / "c"),
+        )
+        assert code == 4
+        err = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+        assert err["error"]["kind"] == "numerical"
+        assert "Schur matrix" in err["error"]["message"]
+        assert "backend='stochastic'" in err["error"]["message"]
+
     def test_unknown_correction_is_config_error(self, tmp_path, exactfit_panel):
         panel_file = tmp_path / "p.csv"
         write_panel(exactfit_panel, panel_file)

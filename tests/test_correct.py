@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse
 
 from twowayfe import (
     ConfigError,
@@ -371,12 +372,12 @@ class TestReporting:
         assert rows[1]["plug_in"] == 0.122 and rows[1]["corrected"] == 0.055
 
 
-def repeated_cell_panel(rng, n_covariates):
+def repeated_cell_panel(rng, n_covariates, n_firms=4):
     """Random connected panel in which every third row appears again in a
     later period with the same worker, firm and covariate row."""
     from twowayfe import Panel
 
-    base = random_connected_panel(rng, n_workers=18, n_firms=4, n_covariates=n_covariates)
+    base = random_connected_panel(rng, n_workers=18, n_firms=n_firms, n_covariates=n_covariates)
     extra = np.arange(0, base.n_obs, 3)
     rows = np.concatenate([np.arange(base.n_obs), extra])
     return Panel(
@@ -391,10 +392,15 @@ def repeated_cell_panel(rng, n_covariates):
 class TestCellTable:
     COMPONENTS = ("var_alpha", "var_psi", "cov_alpha_psi", "var_alpha_plus_psi")
 
-    @pytest.mark.parametrize("n_covariates", (0, 2))
-    def test_table_matches_dense_with_repeated_cells(self, n_covariates):
+    # F = 1 gives a Schur complement of dimension m = K, here 0 or 1
+    @pytest.mark.parametrize(
+        "n_firms, n_covariates",
+        [(4, 0), (4, 2), (1, 0), (1, 1)],
+        ids=["0", "2", "single_firm-0", "single_firm-1"],
+    )
+    def test_table_matches_dense_with_repeated_cells(self, n_firms, n_covariates):
         for seed in range(3):
-            panel = repeated_cell_panel(np.random.default_rng(seed), n_covariates)
+            panel = repeated_cell_panel(np.random.default_rng(seed), n_covariates, n_firms)
             design = Design(panel)
             cells = np.unique(
                 np.column_stack([panel.worker_idx, panel.firm_idx, panel.covariates]), axis=0
@@ -408,6 +414,12 @@ class TestCellTable:
                 A = A_of(*form.blocks)
                 B = np.einsum("op,pq,qr,ro->o", D @ Sinv, A, Sinv, D.T)
                 assert np.abs(weights[form.component] - B).max() < 1e-10
+            if n_firms == 1:
+                if n_covariates == 0:
+                    t_i = np.bincount(panel.worker_idx)[panel.worker_idx]
+                    assert np.abs(lev - 1.0 / t_i).max() < 1e-12
+                for comp in ("var_psi", "cov_alpha_psi"):
+                    assert np.abs(weights[comp]).max() < 1e-12
 
     def test_stayers_closed_form_without_covariates(self):
         panel, _, loo, est_panel, _ = loo_estimated(seed=11)
@@ -448,6 +460,25 @@ def test_stochastic_leverage_above_one_is_numerical_error():
     panel, _, loo, est_panel, est = loo_estimated(seed=5)
     with pytest.raises(NumericalError, match="probes=2.*backend='exact'"):
         correct_leave_out(est_panel, est, "var_psi", backend="stochastic", probes=2, seed=0)
+
+
+def test_schur_allocation_failure_is_numerical_error(monkeypatch):
+    """A dense Schur matrix too large for memory names m, its bytes and the
+    stochastic backend instead of escaping as a MemoryError."""
+    from twowayfe import NumericalError
+
+    panel, _, loo, est_panel, est = loo_estimated(seed=5)
+
+    def no_memory(self, *args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(scipy.sparse.csr_matrix, "toarray", no_memory)
+    m = est_panel.n_firms - 1
+    with pytest.raises(NumericalError) as info:
+        corrected_decomposition(est_panel, est, "leave_out", backend="exact")
+    message = str(info.value)
+    assert f"{m} x {m}" in message and f"({8 * m * m} bytes)" in message
+    assert "backend='stochastic'" in message
 
 
 @pytest.mark.parametrize("block_width", (None, 3))
