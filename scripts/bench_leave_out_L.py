@@ -1,14 +1,16 @@
 #!/usr/bin/env python3
-"""Time the exact leave-out correction at criterion-13 scale (ROADMAP size L).
+"""Time the leave-out correction at criterion-13 scale (ROADMAP size L).
 
 Simulates the criterion-13 panel (100k workers, 10k firms, T=10, seed 99),
 extracts its leave-one-out connected set, fits it by conjugate gradient, and
-times one exact leave-out `corrected_decomposition` on that fit, the exact
-(P_oo, B_oo) table included. The result is stored under `--label` in a JSON
-file that keeps the runs of other labels, so one file can hold a run of the
-parent commit and one of a change:
+times one leave-out `corrected_decomposition` on that fit with the chosen
+backend (the exact (P_oo, B_oo) table included, or the stochastic backend at
+its default probes and seed). The result is stored under `--label` in a JSON
+file, by default `BENCH_<backend>_leave_out_L.json`, that keeps the runs of
+other labels, so one file can hold a run of the parent commit and one of a
+change:
 
-    python3 scripts/bench_exact_L.py --label change
+    python3 scripts/bench_leave_out_L.py --backend stochastic --label change
 
 The package is imported from `src/` of the checkout this script sits in, and
 BLAS is held at 2 threads, as in `perfbench/run.py`, whose source digest the
@@ -44,7 +46,7 @@ def _peak_rss_mb() -> float:
     return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0  # KiB on Linux
 
 
-def run() -> dict:
+def run(backend: str) -> dict:
     panel, _ = tw.simulate_panel(tw.SimConfig(**CRITERION_13))
     loo = tw.leave_one_out_connected_set(tw.build_graph(panel), panel)
     loo_panel = tw.restrict_panel(panel, loo.workers, loo.firms)
@@ -52,14 +54,11 @@ def run() -> dict:
     setup_peak = _peak_rss_mb()
 
     t0 = time.perf_counter()
-    dec = tw.corrected_decomposition(loo_panel, est, "leave_out", backend="exact")
+    dec = tw.corrected_decomposition(loo_panel, est, "leave_out", backend=backend)
     seconds = time.perf_counter() - t0
 
     design = est.design
-    leverage = design.exact_table[0]
-    cells = np.unique(loo_panel.worker_idx * loo_panel.n_firms + loo_panel.firm_idx)
-    cells_per_worker = np.bincount(cells // loo_panel.n_firms, minlength=loo_panel.n_workers)
-    return {
+    result = {
         "seconds": round(seconds, 2),
         "peak_rss_mb": round(_peak_rss_mb(), 1),
         "setup_peak_rss_mb": round(setup_peak, 1),
@@ -67,28 +66,39 @@ def run() -> dict:
         "workers": loo_panel.n_workers,
         "firms": loo_panel.n_firms,
         "m": design.F - 1 + design.K,
-        "cells": int(cells.size),
-        "mover_cells": int((cells_per_worker[cells // loo_panel.n_firms] > 1).sum()),
-        "leverage_sum_minus_rank": float(leverage.sum() - design.p),
-        "max_leverage": float(leverage.max()),
-        "corrected": {k: float(v) for k, v in dec.components.items()},
-        "source_sha256": _source_digest(),
     }
+    if backend == "exact":
+        leverage = design.exact_table[0]
+        cells = np.unique(loo_panel.worker_idx * loo_panel.n_firms + loo_panel.firm_idx)
+        cells_per_worker = np.bincount(cells // loo_panel.n_firms, minlength=loo_panel.n_workers)
+        result.update(
+            cells=int(cells.size),
+            mover_cells=int((cells_per_worker[cells // loo_panel.n_firms] > 1).sum()),
+            leverage_sum_minus_rank=float(leverage.sum() - design.p),
+            max_leverage=float(leverage.max()),
+        )
+    else:
+        result.update(probes=tw.correct.DEFAULT_PROBES, seed=0)
+    result["corrected"] = {k: float(v) for k, v in dec.components.items()}
+    result["source_sha256"] = _source_digest()
+    return result
 
 
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    p.add_argument("--backend", required=True, choices=("exact", "stochastic"))
     p.add_argument("--label", required=True, help="key of this run in the output file")
-    p.add_argument("--out", default=os.path.join(ROOT, "BENCH_exact_leave_out_L.json"))
+    p.add_argument("--out", help="output file (default: BENCH_<backend>_leave_out_L.json)")
     args = p.parse_args(argv)
+    out = args.out or os.path.join(ROOT, f"BENCH_{args.backend}_leave_out_L.json")
 
     record = {"runs": {}}
-    if os.path.exists(args.out):
-        with open(args.out, encoding="utf-8") as fh:
+    if os.path.exists(out):
+        with open(out, encoding="utf-8") as fh:
             record = json.load(fh)
-    result = run()
+    result = run(args.backend)
     record["benchmark"] = (
-        "exact leave-out corrected_decomposition on the leave-one-out set of the "
+        f"{args.backend} leave-out corrected_decomposition on the leave-one-out set of the "
         "criterion-13 panel"
     )
     record["panel"] = CRITERION_13
@@ -102,7 +112,7 @@ def main(argv=None) -> int:
             "scipy": scipy.__version__,
         },
     }
-    with open(args.out, "w", encoding="utf-8") as fh:
+    with open(out, "w", encoding="utf-8") as fh:
         json.dump(record, fh, indent=2)
         fh.write("\n")
     print(json.dumps({args.label: result}))

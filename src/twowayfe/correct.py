@@ -41,6 +41,12 @@ O(iterations * nnz(Schur) * k) per block plus O(nnz(D) * k) for the products
 with the design; memory is bounded by the block budget. Probes follow the
 seeded stream in one-at-a-time order, so results do not depend on k.
 Leave-out leverages are JLA-normalized, P^/(P^ + M^), so they stay below one.
+All components of one call share one probe stream, default_rng(seed): at P
+probes a homoskedastic decomposition solves P columns (one S^{-1} z serves
+every form), a leave-out one P * (1 + distinct observation maps) = 3P (one
+leverage estimate, then the alpha and psi maps), whatever the number of
+components. The components' Monte Carlo errors are therefore correlated;
+each mc_stderr is still that of its own component.
 """
 
 from __future__ import annotations
@@ -110,11 +116,6 @@ class QuadraticForm:
         lv = self._centered_values(phi, left)
         rv = lv if left == right else self._centered_values(phi, right)
         return float(lv @ rv) / self.design.n
-
-    def scatter_T(self, z: np.ndarray, side: str) -> np.ndarray:
-        """Adjoint of the (centered) left or right observation map."""
-        block = self.blocks[0 if side == "left" else 1]
-        return self.design.scatter_obs(z - z.mean(axis=0), block)
 
 
 @dataclass(frozen=True)
@@ -186,21 +187,31 @@ def _probe_blocks(rng, probes: int, size: int, n: int):
         yield np.ascontiguousarray(rng.integers(0, 2, (k, size)).T) * 2.0 - 1.0
 
 
+def _stderr(vals: np.ndarray) -> float:
+    """Monte Carlo standard error of the mean of per-probe values."""
+    return float(vals.std(ddof=1) / np.sqrt(vals.size)) if vals.size > 1 else float("inf")
+
+
+def _trace_probes(forms: list[QuadraticForm], probes: int, rng, cg_tol: float) -> dict:
+    """Per-probe z'A S^{-1} z of every form, z Rademacher over parameters: one
+    batched CG solve u = S^{-1} z per block serves all forms."""
+    design = forms[0].design
+    vals = {f.component: [] for f in forms}
+    for z in _probe_blocks(rng, probes, design.p, design.n):
+        u, _ = design.solve_cg(z, rtol=cg_tol)
+        for f in forms:
+            vals[f.component].append(np.einsum("ij,ij->j", z, f.apply(u)))
+    return {c: np.concatenate(v) for c, v in vals.items()}
+
+
 def hutchinson_trace_quadratic(
     form: QuadraticForm, probes: int, seed: int, cg_tol: float = DEFAULT_CG_TOL
 ) -> tuple[float, float]:
     """trace(A S^{-1}) by Rademacher probing: mean over probes of z'A S^{-1} z,
     the solves batched by conjugate gradient. Returns (estimate, MC standard
     error)."""
-    design = form.design
-    rng = np.random.default_rng(seed)
-    vals = []
-    for z in _probe_blocks(rng, probes, design.p, design.n):
-        u, _ = design.solve_cg(z, rtol=cg_tol)
-        vals.append(np.einsum("ij,ij->j", z, form.apply(u)))
-    vals = np.concatenate(vals)
-    stderr = float(vals.std(ddof=1) / np.sqrt(probes)) if probes > 1 else float("inf")
-    return float(vals.mean()), stderr
+    vals = _trace_probes([form], probes, np.random.default_rng(seed), cg_tol)[form.component]
+    return float(vals.mean()), _stderr(vals)
 
 
 def _exact_tables(design: Design, forms: list[QuadraticForm], chunk: int = 512):
@@ -289,35 +300,28 @@ def _stochastic_leverages(design: Design, probes: int, rng, cg_tol: float) -> np
     return p_hat / (p_hat + m_hat)
 
 
-def _weight_products(design: Design, form: QuadraticForm, z: np.ndarray, cg_tol: float):
-    """(D S^{-1} Hl' z) o (D S^{-1} Hr' z) for each probe column of z, n x k;
-    a two-sided form solves its left and right columns in one block."""
-    left, right = form.blocks
-    if left == right:
-        u, _ = design.solve_cg(form.scatter_T(z, "left"), rtol=cg_tol)
-        a = design.apply(u)
-        a *= a
-        return a
-    k = z.shape[1]
-    rhs = np.hstack([form.scatter_T(z, "left"), form.scatter_T(z, "right")])
-    u, _ = design.solve_cg(rhs, rtol=cg_tol)
-    a = design.apply(u[:, :k])  # one n x k half at a time bounds the temporaries
-    a *= design.apply(u[:, k:])
-    return a
-
-
-def _stochastic_weights(
-    design: Design, form: QuadraticForm, probes: int, rng, cg_tol: float
-) -> np.ndarray:
-    """Unbiased B_oo estimates via probes through the form's two obs maps.
-
-    Per probe: (D S^{-1} Hl' z) o (D S^{-1} Hr' z) averages to n * B_oo since
-    Rademacher coordinates are independent; divide by n at the end.
-    """
-    acc = np.zeros(design.n)
+def _weight_maps(forms: list[QuadraticForm], probes: int, rng, cg_tol: float):
+    """Per block of Rademacher probes z (n x k), {b: D S^{-1} H_b' z} for each
+    distinct observation map b of the forms (H_b its centered selector), the
+    maps' right-hand sides solved together in one batched CG run."""
+    design = forms[0].design
+    blocks = list(dict.fromkeys(b for f in forms for b in f.blocks))
     for z in _probe_blocks(rng, probes, design.n, design.n):
-        acc += _weight_products(design, form, z, cg_tol).sum(axis=1)
-    return acc / (probes * design.n)
+        z -= z.mean(axis=0)  # H_b' z is block b's incidence applied to centered z
+        k = z.shape[1]
+        u, _ = design.solve_cg(np.hstack([design.scatter_obs(z, b) for b in blocks]), rtol=cg_tol)
+        maps = {b: design.apply(u[:, i * k : (i + 1) * k]) for i, b in enumerate(blocks)}
+        del u
+        yield maps
+        maps.clear()  # the caller is done with them: free them before the next draw
+
+
+def _weight_product(maps: dict, form: QuadraticForm) -> np.ndarray:
+    """(D S^{-1} Hl' z) o (D S^{-1} Hr' z), n x k, written over the left map."""
+    left, right = form.blocks
+    prod = maps[left]
+    prod *= maps[right]
+    return prod
 
 
 def compute_leverages(
@@ -338,8 +342,7 @@ def compute_leverages(
     block width. The ratio is not unbiased; the small-sample nonlinearity it
     and 1/(1 - P_oo) induce downstream is documented and left uncorrected.
     """
-    if backend not in BACKENDS:
-        raise ConfigError(f"unknown backend {backend!r}")
+    _check_backend(backend)
     est_panel = panel if conn is None else restrict_panel(panel, conn.workers, conn.firms)
     design = Design(est_panel)
     form = QuadraticForm(component=component, design=design)
@@ -353,7 +356,12 @@ def compute_leverages(
         )
     rng = np.random.default_rng(seed)
     lev = _stochastic_leverages(design, probes, rng, cg_tol)
-    bw = _stochastic_weights(design, form, probes, rng, cg_tol)
+    # per probe, the weight product averages to n * B_oo (Rademacher coordinates
+    # are independent)
+    bw = np.zeros(design.n)
+    for maps in _weight_maps([form], probes, rng, cg_tol):
+        bw += _weight_product(maps, form).sum(axis=1)
+    bw /= probes * design.n
     return LeverageTable(
         leverage=lev,
         component_weight=bw,
@@ -400,6 +408,72 @@ def _exact_corrections(estimates: Estimates, forms: list[QuadraticForm], method:
     return {f.component: _result(f, phi, bias[f.component], method, "exact") for f in forms}
 
 
+def _leave_out_probes(estimates: Estimates, forms: list[QuadraticForm], probes: int,
+                      rng, cg_tol: float) -> dict:
+    """Per-probe z'Hl S^{-1} D' diag(sigma2_o) D S^{-1} Hr' z / n of every form,
+    whose mean over probes is sum_o B_oo sigma2_o, sigma2_o the leave-one-out
+    variances from one JLA leverage estimate: 1 + b solved columns per probe
+    for the forms' b distinct observation maps."""
+    design = forms[0].design
+    lev = _stochastic_leverages(design, probes, rng, cg_tol)
+    _require_below_one(lev, probes)
+    sigma2_obs = design.panel.log_wage * estimates.residuals / (1.0 - lev)
+    *shared, last = forms
+    vals = {f.component: [] for f in forms}
+    for maps in _weight_maps(forms, probes, rng, cg_tol):
+        for f in shared:  # later forms still read the maps: no product is formed
+            left, right = f.blocks
+            v = np.einsum("ij,ij,i->j", maps[left], maps[right], sigma2_obs)
+            vals[f.component].append(v / design.n)
+        # the last form may write its product over a map, as a lone form does
+        vals[last.component].append(_weight_product(maps, last).T @ sigma2_obs / design.n)
+    return {c: np.concatenate(v) for c, v in vals.items()}
+
+
+def _stochastic_corrections(estimates: Estimates, forms: list[QuadraticForm], method: str,
+                            probes: int, seed: int, cg_tol: float) -> dict:
+    """Either stochastic correction for several forms from one probe stream of
+    default_rng(seed): every form reads the same probes, so a decomposition
+    pays for its solves once, and each form's mc_stderr is the standard error
+    of its own per-probe values (the forms' errors are correlated)."""
+    rng = np.random.default_rng(seed)
+    if method == "homoskedastic_trace":
+        scale = _sigma2(estimates)
+        vals = _trace_probes(forms, probes, rng, cg_tol)
+    else:
+        scale = 1.0  # the leave-out values already carry each sigma2_o
+        vals = _leave_out_probes(estimates, forms, probes, rng, cg_tol)
+    phi = _stacked(forms[0].design, estimates)
+    return {
+        f.component: _result(
+            f, phi, scale * float(vals[f.component].mean()), method, "stochastic",
+            probes_used=probes, seed=seed, mc_stderr=scale * _stderr(vals[f.component]),
+        )
+        for f in forms
+    }
+
+
+def _corrections(estimates: Estimates, forms: list[QuadraticForm], method: str, backend: str,
+                 probes: int, seed: int, cg_tol: float) -> dict:
+    if backend == "exact":
+        return _exact_corrections(estimates, forms, method)
+    return _stochastic_corrections(estimates, forms, method, probes, seed, cg_tol)
+
+
+def _check_backend(backend: str) -> None:
+    if backend not in BACKENDS:
+        raise ConfigError(f"unknown backend {backend!r}")
+
+
+def _correct_one(panel: Panel, estimates: Estimates, form: QuadraticForm | str, method: str,
+                 backend: str, probes: int, seed: int, cg_tol: float) -> CorrectionResult:
+    _check_estimates(panel, estimates)
+    _check_backend(backend)
+    if isinstance(form, str):
+        form = quadratic_form(estimates, form)
+    return _corrections(estimates, [form], method, backend, probes, seed, cg_tol)[form.component]
+
+
 def correct_homoskedastic(
     panel: Panel,
     estimates: Estimates,
@@ -410,19 +484,7 @@ def correct_homoskedastic(
     cg_tol: float = DEFAULT_CG_TOL,
 ) -> CorrectionResult:
     """Trace-based correction under a common idiosyncratic variance."""
-    _check_estimates(panel, estimates)
-    if backend not in BACKENDS:
-        raise ConfigError(f"unknown backend {backend!r}")
-    sigma2 = _sigma2(estimates)
-    if isinstance(form, str):
-        form = quadratic_form(estimates, form)
-    if backend == "exact":
-        return _exact_corrections(estimates, [form], "homoskedastic_trace")[form.component]
-    trace, tr_stderr = hutchinson_trace_quadratic(form, probes, seed, cg_tol)
-    return _result(
-        form, _stacked(form.design, estimates), sigma2 * trace, "homoskedastic_trace",
-        backend, probes_used=probes, seed=seed, mc_stderr=sigma2 * tr_stderr,
-    )
+    return _correct_one(panel, estimates, form, "homoskedastic_trace", backend, probes, seed, cg_tol)
 
 
 def correct_leave_out(
@@ -440,28 +502,7 @@ def correct_leave_out(
     or above one is reported as a data error rather than clipped, a
     stochastic one as a numerical error.
     """
-    _check_estimates(panel, estimates)
-    if backend not in BACKENDS:
-        raise ConfigError(f"unknown backend {backend!r}")
-    if isinstance(form, str):
-        form = quadratic_form(estimates, form)
-    if backend == "exact":
-        return _exact_corrections(estimates, [form], "leave_out")[form.component]
-
-    design = form.design
-    rng = np.random.default_rng(seed)
-    lev = _stochastic_leverages(design, probes, rng, cg_tol)
-    _require_below_one(lev, probes)
-    sigma2_obs = design.panel.log_wage * estimates.residuals / (1.0 - lev)
-    per_probe = np.concatenate([
-        _weight_products(design, form, z, cg_tol).T @ sigma2_obs / design.n
-        for z in _probe_blocks(rng, probes, design.n, design.n)
-    ])
-    stderr = float(per_probe.std(ddof=1) / np.sqrt(probes)) if probes > 1 else float("inf")
-    return _result(
-        form, _stacked(design, estimates), float(per_probe.mean()), "leave_out", backend,
-        probes_used=probes, seed=seed, mc_stderr=stderr,
-    )
+    return _correct_one(panel, estimates, form, "leave_out", backend, probes, seed, cg_tol)
 
 
 def _require_below_one(lev: np.ndarray, probes: int | None = None) -> None:
@@ -496,23 +537,10 @@ def corrected_decomposition(
     systematic components so additivity is preserved by construction."""
     if method not in ("homoskedastic_trace", "leave_out"):
         raise ConfigError(f"unknown correction method {method!r}")
+    _check_backend(backend)
     plug = decompose_variance(panel, estimates)
-    design = estimates.design
-    forms = [QuadraticForm(c, design) for c in ("var_alpha", "var_psi", "cov_alpha_psi")]
-
-    if backend == "exact":
-        results = _exact_corrections(estimates, forms, method)
-    else:
-        correct_fn = (
-            correct_homoskedastic if method == "homoskedastic_trace" else correct_leave_out
-        )
-        results = {
-            form.component: correct_fn(
-                panel, estimates, form, backend=backend, probes=probes,
-                seed=seed + k, cg_tol=cg_tol,
-            )
-            for k, form in enumerate(forms)
-        }
+    forms = [QuadraticForm(c, estimates.design) for c in ("var_alpha", "var_psi", "cov_alpha_psi")]
+    results = _corrections(estimates, forms, method, backend, probes, seed, cg_tol)
 
     var_alpha = results["var_alpha"].corrected
     var_psi = results["var_psi"].corrected

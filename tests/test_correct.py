@@ -349,6 +349,21 @@ class TestCorrectedDecomposition:
         with pytest.raises(ConfigError):
             corrected_decomposition(exactfit_panel, est, "mystery")
 
+    def test_unknown_backend_rejected_before_any_solve(self, exactfit_panel, monkeypatch):
+        est = estimate(exactfit_panel)
+        solves = []
+        solve_cg = Design.solve_cg
+
+        def counted(self, b, *args, **kwargs):
+            solves.append(b.shape)
+            return solve_cg(self, b, *args, **kwargs)
+
+        monkeypatch.setattr(Design, "solve_cg", counted)
+        for method in ("homoskedastic_trace", "leave_out"):
+            with pytest.raises(ConfigError, match="unknown backend 'mystery'"):
+                corrected_decomposition(exactfit_panel, est, method, backend="mystery")
+        assert solves == []
+
 
 class TestReporting:
     def test_paired_rows_display(self):
@@ -539,3 +554,44 @@ def test_stochastic_leave_out_returns_on_leave_one_out_connected_sets():
         stoch = corrected_decomposition(loo_panel, est, "leave_out", "stochastic")
         gap = stoch.components["var_psi"] - exact.components["var_psi"]
         assert abs(gap) <= 0.002, (seed, gap)
+
+
+DECOMPOSED = (("var_alpha", "var_alpha", 1.0), ("var_psi", "var_psi", 1.0),
+              ("cov_alpha_psi", "cov2", 2.0))
+
+
+@pytest.mark.parametrize("block_width", (None, 3))
+@pytest.mark.parametrize("method", ("homoskedastic_trace", "leave_out"))
+def test_stochastic_decomposition_components_equal_single_form_corrections(
+    method, block_width, monkeypatch
+):
+    """The components of one stochastic decomposition share one probe stream:
+    each equals its single-form correction at the same seed and probes."""
+    panel, _, loo, est_panel, est = loo_estimated(seed=5)
+    if block_width is not None:
+        monkeypatch.setattr(correct_module, "PROBE_BLOCK_BYTES", 8 * est_panel.n_obs * block_width)
+    seed, probes = 4, 20
+    dec = corrected_decomposition(est_panel, est, method, "stochastic", probes=probes, seed=seed)
+    correct_fn = correct_homoskedastic if method == "homoskedastic_trace" else correct_leave_out
+    for component, key, scale in DECOMPOSED:
+        single = correct_fn(est_panel, est, component, backend="stochastic", probes=probes, seed=seed)
+        assert dec.components[key] == pytest.approx(scale * single.corrected, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("method, columns_per_probe", (("homoskedastic_trace", 1), ("leave_out", 3)))
+def test_stochastic_decomposition_solves_shared_columns(method, columns_per_probe, monkeypatch):
+    """Homoskedastic: one S^{-1} z per probe serves the three forms. Leave-out:
+    one leverage column plus one per distinct observation map (alpha, psi)."""
+    panel, _, loo, est_panel, est = loo_estimated(seed=5)
+    monkeypatch.setattr(correct_module, "PROBE_BLOCK_BYTES", 8 * est_panel.n_obs * 3)
+    columns = []
+    solve_cg = Design.solve_cg
+
+    def counted(self, b, *args, **kwargs):
+        columns.append(1 if b.ndim == 1 else b.shape[1])
+        return solve_cg(self, b, *args, **kwargs)
+
+    monkeypatch.setattr(Design, "solve_cg", counted)
+    probes = 20
+    corrected_decomposition(est_panel, est, method, "stochastic", probes=probes, seed=0)
+    assert sum(columns) == columns_per_probe * probes
