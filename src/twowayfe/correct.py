@@ -33,13 +33,20 @@ m x m array while the table is built, plus chunk * m per block of cells, then
 5 floats per observation kept. Quadratic-form matrices are never
 materialized; components act through centered selector maps.
 
-The stochastic backend draws its probes in blocks of k (set by a fixed byte
-budget, PROBE_BLOCK_BYTES, on the n x k temporaries) and solves each block
-with one batched CG run against the Schur complement, which the Design
-assembles once as a sparse m x m matrix. Cost is
-O(iterations * nnz(Schur) * k) per block plus O(nnz(D) * k) for the products
-with the design; memory is bounded by the block budget. Probes follow the
-seeded stream in one-at-a-time order, so results do not depend on k.
+The stochastic backend works on the same cells (`Design.cells`). A Rademacher
+probe over observations costs O(n) to draw and to reduce to per-cell sums;
+D'z, P z = D S^{-1} D'z, the alpha and psi weight maps and the trace forms'
+centered block values are then formed once per cell, O(cells), weighted by
+the cell's person-years or by its sum of sigma2_o. Only the JLA
+M^_oo = sum_r (z_or - (P z_r)_{c(o)})^2 stays per observation, another O(n).
+Each stage solves its probes in batches of b = PROBE_BLOCK_BYTES // (8 cells)
+columns (8 max(p, cells) for the parameter-space trace probes), one batched
+CG run per batch against the Schur complement, which the Design assembles
+once as a sparse m x m matrix: O(iterations * nnz(Schur) * b) per batch.
+Draws come in sub-blocks set by the same byte budget over n-length rows, so
+temporaries stay within a few budgets plus n * b bytes of probe signs.
+Probes follow the seeded stream in one-at-a-time order, so results do not
+depend on either width.
 Leave-out leverages are JLA-normalized, P^/(P^ + M^), so they stay below one.
 All components of one call share one probe stream, default_rng(seed): at P
 probes a homoskedastic decomposition solves P columns (one S^{-1} z serves
@@ -75,8 +82,9 @@ BACKENDS = ("exact", "stochastic")
 LEVERAGE_CAP = 1.0 - 1e-10
 DEFAULT_PROBES = 100
 DEFAULT_CG_TOL = 1e-8
-# Bytes of one n x k float64 temporary in the probe loops; sets the block
-# width k of Rademacher probes solved together.
+# Bytes of one float64 temporary in the probe loops: sets the number of
+# probes solved together (cell-length columns) and drawn together
+# (observation-length rows).
 PROBE_BLOCK_BYTES = 1 << 19
 
 
@@ -176,15 +184,36 @@ def _check_estimates(panel: Panel, estimates: Estimates) -> None:
         raise DataError("estimates were not computed on this panel")
 
 
-def _probe_blocks(rng, probes: int, size: int, n: int):
-    """Rademacher probes as (size, k) blocks, k set by PROBE_BLOCK_BYTES over
-    n-length columns. Each block is drawn as k rows of `size` and transposed,
-    so column r is the r-th probe a one-at-a-time draw would give and results
-    do not depend on k."""
-    width = max(1, PROBE_BLOCK_BYTES // (8 * n))
-    for lo in range(0, probes, width):
-        k = min(width, probes - lo)
-        yield np.ascontiguousarray(rng.integers(0, 2, (k, size)).T) * 2.0 - 1.0
+def _spans(count: int, size: int) -> list[slice]:
+    """Consecutive slices of range(count), each as wide as PROBE_BLOCK_BYTES
+    allows for float64 columns of length `size`."""
+    width = max(1, PROBE_BLOCK_BYTES // (8 * size))
+    return [slice(lo, min(lo + width, count)) for lo in range(0, count, width)]
+
+
+_SIGNS = np.array([-1, 1], dtype=np.int8)
+
+
+def _rademacher(rng, cols: slice, size: int) -> np.ndarray:
+    """The probes `cols` of a batch as a (k, size) int8 array of +-1, written
+    in one pass over the draw: drawn as k rows of `size`, so row r is the
+    probe a one-at-a-time draw would give next and results do not depend on
+    how draws are split."""
+    draw = rng.integers(0, 2, (cols.stop - cols.start, size))
+    return _SIGNS.take(draw, mode="clip")  # indices are 0 or 1: clipping skips the bounds check
+
+
+def _row_probes(design: Design, probes: int, rng):
+    """Per solve batch of b Rademacher probes over observations, their
+    per-cell sums (cells x b) and their signs (b x n, int8). b is set by
+    PROBE_BLOCK_BYTES over cell-length columns; the draws come in sub-blocks
+    set by the same budget over observation-length ones."""
+    cells, n = design.cells, design.n
+    for batch in _spans(probes, cells.size):
+        signs = np.empty((batch.stop - batch.start, n), np.int8)
+        for cols in _spans(len(signs), n):
+            signs[cols] = _rademacher(rng, cols, n)
+        yield cells.sums(signs), signs
 
 
 def _stderr(vals: np.ndarray) -> float:
@@ -192,15 +221,41 @@ def _stderr(vals: np.ndarray) -> float:
     return float(vals.std(ddof=1) / np.sqrt(vals.size)) if vals.size > 1 else float("inf")
 
 
+def _centered_cell_values(design: Design, phi: np.ndarray, block: str) -> np.ndarray:
+    """Block values of the columns of phi per cell, centered by their
+    person-year mean."""
+    cells = design.cells
+    v = cells.obs_values(phi, block)
+    v -= cells.counts @ v / design.n
+    return v
+
+
 def _trace_probes(forms: list[QuadraticForm], probes: int, rng, cg_tol: float) -> dict:
     """Per-probe z'A S^{-1} z of every form, z Rademacher over parameters: one
-    batched CG solve u = S^{-1} z per block serves all forms."""
+    batched CG solve u = S^{-1} z per batch serves all forms. With H_b z the
+    centered observation values of block b, z'Au = (H_l z).(H_r u) (averaged
+    with (H_r z).(H_l u) when l != r) over n; each block's values of z and u
+    are formed once per cell and weighted by the cell's person-years."""
     design = forms[0].design
+    counts, n = design.cells.counts, design.n
+    blocks = list(dict.fromkeys(b for f in forms for b in f.blocks))
     vals = {f.component: [] for f in forms}
-    for z in _probe_blocks(rng, probes, design.p, design.n):
+    for batch in _spans(probes, max(design.p, design.cells.size)):
+        z = np.empty((design.p, batch.stop - batch.start))
+        for cols in _spans(z.shape[1], n):
+            z[:, cols] = _rademacher(rng, cols, design.p).T
         u, _ = design.solve_cg(z, rtol=cg_tol)
+        hz = {b: _centered_cell_values(design, z, b) for b in blocks}
+        del z
+        hu = {b: _centered_cell_values(design, u, b) for b in blocks}
+        del u
         for f in forms:
-            vals[f.component].append(np.einsum("ij,ij->j", z, f.apply(u)))
+            left, right = f.blocks
+            v = np.einsum("ij,ij,i->j", hz[left], hu[right], counts)
+            if left != right:
+                v = (v + np.einsum("ij,ij,i->j", hz[right], hu[left], counts)) / 2.0
+            vals[f.component].append(v / n)
+        del hz, hu  # before the next draw
     return {c: np.concatenate(v) for c, v in vals.items()}
 
 
@@ -227,14 +282,12 @@ def _exact_tables(design: Design, forms: list[QuadraticForm], chunk: int = 512):
     2 g_o'y + y'G'G y, sum d a = 1 - 1'G y, and with psi = (y_psi, 0) over
     firms: sum n psi^2, sum n psi and sum a psi = psi_{j(o)} - y_psi'(G'G y)_psi.
     """
-    p = design.panel
+    cells = design.cells
     n, F1 = design.n, design.F - 1
-    cells = np.column_stack([p.worker_idx, p.firm_idx, p.covariates])
-    _, rep, inverse = np.unique(cells, axis=0, return_index=True, return_inverse=True)
-    d = design.d_worker[p.worker_idx[rep]]
-    contact = design.contact[p.worker_idx[rep]]
+    d = design.d_worker[cells.worker_idx]
+    contact = design.contact[cells.worker_idx]
     contact.data /= np.repeat(d, np.diff(contact.indptr))  # divided, so stayers get t = 0 exactly
-    T = design.g_mat[rep] - contact  # CSR difference: zeros are not stored
+    T = cells.g_mat - contact  # CSR difference: zeros are not stored
     live = np.flatnonzero(np.diff(T.indptr))
     V = design.schur_inverse() if live.size else None
     g_sums = np.asarray(design.g_mat.sum(axis=0)).ravel()
@@ -249,8 +302,8 @@ def _exact_tables(design: Design, forms: list[QuadraticForm], chunk: int = 512):
         y = np.ascontiguousarray((t @ V).T)  # column i is V t_i, V being symmetric
         lev[c] += np.asarray(t.multiply(y.T).sum(axis=1)).ravel()
         y_psi = y[:F1]
-        g_y = np.asarray(design.g_mat[rep[c]].multiply(y.T).sum(axis=1)).ravel()
-        own_psi = g_y - np.einsum("ij,ji->i", p.covariates[rep[c]], y[F1:])
+        g_y = np.asarray(cells.g_mat[c].multiply(y.T).sum(axis=1)).ravel()
+        own_psi = g_y - np.einsum("ij,ji->i", design.panel.covariates[cells.rep[c]], y[F1:])
         gtg_y = design.gtg @ y
         sums[0, c] = lev[c] - 2.0 * g_y + np.einsum("ij,ij->j", y, gtg_y)
         sums[1, c] = 1.0 - g_sums @ y
@@ -264,8 +317,7 @@ def _exact_tables(design: Design, forms: list[QuadraticForm], chunk: int = 512):
         "cov_alpha_psi": (sap - sa * sp / n) / n,
     }
     b["var_alpha_plus_psi"] = b["var_alpha"] + b["var_psi"] + 2.0 * b["cov_alpha_psi"]
-    inverse = inverse.ravel()
-    return lev[inverse], {f.component: b[f.component][inverse] for f in forms}
+    return lev[cells.inverse], {f.component: b[f.component][cells.inverse] for f in forms}
 
 
 def _exact_table(design: Design):
@@ -288,40 +340,46 @@ def _stochastic_leverages(design: Design, probes: int, rng, cg_tol: float) -> np
     M^_oo = mean_r (z_r - D w_r)_o^2 estimate P_oo and M_oo = 1 - P_oo without
     bias from the same solves (Kline, Saggio & Solvsten 2020). The ratio is
     not unbiased, but unlike P^ alone it cannot reach one unless M^_oo = 0.
+    D'z and P z = D w are formed per cell; only M^ needs each observation's z.
     """
-    p_hat = np.zeros(design.n)
-    m_hat = np.zeros(design.n)
-    for z in _probe_blocks(rng, probes, design.n, design.n):
-        w, _ = design.solve_cg(design.apply_T(z), rtol=cg_tol)
-        pz = design.apply(w)
+    cells, n = design.cells, design.n
+    p_hat = np.zeros(cells.size)
+    m_hat = np.zeros(n)
+    for sums, signs in _row_probes(design, probes, rng):
+        w, _ = design.solve_cg(cells.apply_T(sums), rtol=cg_tol)
+        pz = cells.apply(w)
         p_hat += np.einsum("ij,ij->i", pz, pz)
-        z -= pz
-        m_hat += np.einsum("ij,ij->i", z, z)
-    return p_hat / (p_hat + m_hat)
+        pz = np.ascontiguousarray(pz.T)
+        for cols in _spans(len(signs), n):
+            resid = pz[cols][:, cells.inverse]
+            np.subtract(signs[cols], resid, out=resid)
+            for r in np.square(resid, out=resid):
+                m_hat += r
+            del resid
+    p_hat = p_hat[cells.inverse]
+    m_hat += p_hat
+    return np.divide(p_hat, m_hat, out=m_hat)
 
 
-def _weight_maps(forms: list[QuadraticForm], probes: int, rng, cg_tol: float):
-    """Per block of Rademacher probes z (n x k), {b: D S^{-1} H_b' z} for each
-    distinct observation map b of the forms (H_b its centered selector), the
-    maps' right-hand sides solved together in one batched CG run."""
+def _cell_maps(forms: list[QuadraticForm], probes: int, rng, cg_tol: float):
+    """Per batch of Rademacher probes z over observations, {b: D S^{-1} H_b' z}
+    per cell (cells x batch) for each distinct observation map b of the forms
+    (H_b its centered selector), the maps' right-hand sides solved together in
+    one batched CG run."""
     design = forms[0].design
+    cells = design.cells
     blocks = list(dict.fromkeys(b for f in forms for b in f.blocks))
-    for z in _probe_blocks(rng, probes, design.n, design.n):
-        z -= z.mean(axis=0)  # H_b' z is block b's incidence applied to centered z
-        k = z.shape[1]
-        u, _ = design.solve_cg(np.hstack([design.scatter_obs(z, b) for b in blocks]), rtol=cg_tol)
-        maps = {b: design.apply(u[:, i * k : (i + 1) * k]) for i, b in enumerate(blocks)}
-        del u
+    for sums, _ in _row_probes(design, probes, rng):
+        # H_b' z is block b's incidence applied to centered z: per cell, its sum
+        # minus the cell's person-years times the probe's mean
+        sums -= np.outer(cells.counts, sums.sum(axis=0) / design.n)
+        k = sums.shape[1]
+        rhs = np.hstack([cells.scatter_obs(sums, b) for b in blocks])
+        u, _ = design.solve_cg(rhs, rtol=cg_tol)
+        maps = {b: cells.apply(u[:, i * k : (i + 1) * k]) for i, b in enumerate(blocks)}
+        del rhs, u
         yield maps
         maps.clear()  # the caller is done with them: free them before the next draw
-
-
-def _weight_product(maps: dict, form: QuadraticForm) -> np.ndarray:
-    """(D S^{-1} Hl' z) o (D S^{-1} Hr' z), n x k, written over the left map."""
-    left, right = form.blocks
-    prod = maps[left]
-    prod *= maps[right]
-    return prod
 
 
 def compute_leverages(
@@ -358,10 +416,11 @@ def compute_leverages(
     lev = _stochastic_leverages(design, probes, rng, cg_tol)
     # per probe, the weight product averages to n * B_oo (Rademacher coordinates
     # are independent)
-    bw = np.zeros(design.n)
-    for maps in _weight_maps([form], probes, rng, cg_tol):
-        bw += _weight_product(maps, form).sum(axis=1)
-    bw /= probes * design.n
+    left, right = form.blocks
+    bw = np.zeros(design.cells.size)
+    for maps in _cell_maps([form], probes, rng, cg_tol):
+        bw += np.einsum("ij,ij->i", maps[left], maps[right])
+    bw = bw[design.cells.inverse] / (probes * design.n)
     return LeverageTable(
         leverage=lev,
         component_weight=bw,
@@ -417,16 +476,13 @@ def _leave_out_probes(estimates: Estimates, forms: list[QuadraticForm], probes: 
     design = forms[0].design
     lev = _stochastic_leverages(design, probes, rng, cg_tol)
     _require_below_one(lev, probes)
-    sigma2_obs = design.panel.log_wage * estimates.residuals / (1.0 - lev)
-    *shared, last = forms
+    sigma2_cell = design.cells.sums(design.panel.log_wage * estimates.residuals / (1.0 - lev))
     vals = {f.component: [] for f in forms}
-    for maps in _weight_maps(forms, probes, rng, cg_tol):
-        for f in shared:  # later forms still read the maps: no product is formed
+    for maps in _cell_maps(forms, probes, rng, cg_tol):
+        for f in forms:
             left, right = f.blocks
-            v = np.einsum("ij,ij,i->j", maps[left], maps[right], sigma2_obs)
+            v = np.einsum("ij,ij,i->j", maps[left], maps[right], sigma2_cell)
             vals[f.component].append(v / design.n)
-        # the last form may write its product over a map, as a lone form does
-        vals[last.component].append(_weight_product(maps, last).T @ sigma2_obs / design.n)
     return {c: np.concatenate(v) for c, v in vals.items()}
 
 

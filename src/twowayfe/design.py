@@ -14,6 +14,11 @@ eliminating it leaves the Schur complement G'G - C' D_w^{-1} C of dimension
 m = F - 1 + K (G the firm/covariate block of D, C = contact). It is assembled
 once as a sparse m x m matrix: CG iterates on it directly, and the exact
 backend reads its dense inverse from `schur_inverse`, built on each call.
+
+`Incidence` holds the rows of D for a set of (worker, firm, covariate row)
+tuples and D's products with them. A Design's rows are its observations;
+`Design.cells` holds its distinct cells, on which both correction backends
+work, with each observation's cell and the observations per cell.
 """
 
 from __future__ import annotations
@@ -29,38 +34,28 @@ from .network import _components, worker_firm_incidence
 from .panel import Panel
 
 
-class Design:
-    """Design matrix machinery for one estimation panel.
+class Incidence:
+    """The rows of the design matrix D for given (worker, firm, covariate row)
+    tuples: worker indicators, firm indicators without the reference firm,
+    covariates. Rows are a panel's observations (Design) or its distinct
+    cells (Cells)."""
 
-    Parameters
-    ----------
-    panel : Panel restricted to a single connected set. The last internal firm
-        index is the dropped reference.
-    """
-
-    def __init__(self, panel: Panel):
-        self.panel = panel
-        n = panel.n_obs
-        self.n = n
-        self.W = panel.n_workers
-        self.F = panel.n_firms
-        self.K = panel.covariate_count
+    def __init__(self, worker_idx, firm_idx, covariates, n_workers: int, n_firms: int):
+        rows = worker_idx.size
+        self.worker_idx, self.firm_idx = worker_idx, firm_idx
+        self.W = n_workers
+        self.F = n_firms
+        self.K = covariates.shape[1]
         self.p = self.W + self.F - 1 + self.K
-        self.ref_firm = self.F - 1
 
-        w, f = panel.worker_idx, panel.firm_idx
-        ones = np.ones(n)
-        self.worker_mat = sp.csr_matrix((ones, (np.arange(n), w)), shape=(n, self.W))
-        firm_full = sp.csr_matrix((ones, (np.arange(n), f)), shape=(n, self.F))
+        ones = np.ones(rows)
+        self.worker_mat = sp.csr_matrix((ones, (np.arange(rows), worker_idx)), shape=(rows, self.W))
+        firm_full = sp.csr_matrix((ones, (np.arange(rows), firm_idx)), shape=(rows, self.F))
         self.firm_red = firm_full[:, : self.F - 1].tocsr()
         if self.K:
-            self.g_mat = sp.hstack([self.firm_red, sp.csr_matrix(panel.covariates)]).tocsr()
+            self.g_mat = sp.hstack([self.firm_red, sp.csr_matrix(covariates)]).tocsr()
         else:
             self.g_mat = self.firm_red
-        self.d_worker = np.bincount(w, minlength=self.W).astype(np.float64)
-        self.g_firm = np.bincount(f, minlength=self.F).astype(np.float64)
-        self.contact = (self.worker_mat.T @ self.g_mat).tocsr()  # W x (F-1+K)
-        self.exact_table = None  # (P_oo, {component: B_oo}), see correct._exact_table
 
     # -- block slices ----------------------------------------------------
     @property
@@ -77,25 +72,25 @@ class Design:
 
     # -- design application ------------------------------------------------
     def apply(self, phi: np.ndarray) -> np.ndarray:
-        """D @ phi: fitted value per observation (supports (p,) or (p, m))."""
+        """D @ phi: fitted value per row (supports (p,) or (p, m))."""
         out = self.g_mat @ phi[self.W :]
-        out += phi[self.alpha_slice][self.panel.worker_idx]
+        out += phi[self.alpha_slice][self.worker_idx]
         return out
 
     def apply_T(self, v: np.ndarray) -> np.ndarray:
-        """D' @ v for an observation-space vector (supports (n,) or (n, m))."""
+        """D' @ v for a row-space vector (supports (rows,) or (rows, m))."""
         out = np.empty((self.p,) + v.shape[1:])
         out[self.alpha_slice] = self.worker_mat.T @ v
         out[self.W :] = self.g_mat.T @ v
         return out
 
     def obs_values(self, phi: np.ndarray, block: str) -> np.ndarray:
-        """Per-observation value of one additive block of D @ phi.
+        """Per-row value of one additive block of D @ phi.
 
         block: "alpha" -> alpha_{w(o)}, "psi" -> psi_{j(o)} (reference firm 0),
         "alpha_plus_psi" -> their sum. Supports stacked (p,) or (p, m) input.
         """
-        w, f = self.panel.worker_idx, self.panel.firm_idx
+        w, f = self.worker_idx, self.firm_idx
         if block == "alpha":
             return phi[self.alpha_slice][w]
         psi = phi[self.psi_slice]
@@ -108,14 +103,78 @@ class Design:
         raise ValueError(f"unknown block {block!r}")
 
     def scatter_obs(self, v: np.ndarray, block: str) -> np.ndarray:
-        """Adjoint of obs_values: map observation-space v into the stacked
-        parameter space through one block's incidence."""
+        """Adjoint of obs_values: map row-space v into the stacked parameter
+        space through one block's incidence."""
         out = np.zeros((self.p,) + v.shape[1:])
         if block in ("alpha", "alpha_plus_psi"):
             out[self.alpha_slice] = self.worker_mat.T @ v
         if block in ("psi", "alpha_plus_psi"):
             out[self.psi_slice] = self.firm_red.T @ v
         return out
+
+
+class Cells(Incidence):
+    """A panel's distinct (worker, firm, covariate row) cells. The rows of one
+    cell share their row of D, so every product of D with a vector that is
+    constant within cells runs on the cells' rows of D: `inverse` maps each
+    observation to its cell, `rep` names one observation of each cell and
+    `counts` holds the observations per cell (float64)."""
+
+    def __init__(self, panel: Panel):
+        # rows sorted by (worker, firm, covariates), stably: the cells, rep and
+        # inverse of np.unique(axis=0), without its n x (2+K) sort temporaries
+        columns = [panel.worker_idx, panel.firm_idx, *panel.covariates.T]
+        order = np.lexsort(columns[::-1])
+        first = np.zeros(panel.n_obs, dtype=bool)
+        first[0] = True
+        for col in columns:
+            col = col[order]
+            first[1:] |= col[1:] != col[:-1]
+        starts = np.flatnonzero(first)
+        self.rep = order[starts]
+        self.inverse = np.empty(panel.n_obs, dtype=np.intp)
+        self.inverse[order] = np.cumsum(first) - 1
+        self.counts = np.diff(starts, append=panel.n_obs).astype(np.float64)
+        self.size = starts.size
+        super().__init__(
+            panel.worker_idx[self.rep], panel.firm_idx[self.rep], panel.covariates[self.rep],
+            panel.n_workers, panel.n_firms,
+        )
+
+    def sums(self, v: np.ndarray) -> np.ndarray:
+        """Per-cell sums of an observation-space vector (n,), or of each row of
+        a (k, n) block as the columns of a (cells, k) array."""
+        if v.ndim == 1:
+            return np.bincount(self.inverse, v, self.size)
+        return np.stack([np.bincount(self.inverse, row, self.size) for row in v], axis=1)
+
+
+class Design(Incidence):
+    """Design matrix machinery for one estimation panel.
+
+    Parameters
+    ----------
+    panel : Panel restricted to a single connected set. The last internal firm
+        index is the dropped reference.
+    """
+
+    def __init__(self, panel: Panel):
+        super().__init__(
+            panel.worker_idx, panel.firm_idx, panel.covariates, panel.n_workers, panel.n_firms
+        )
+        self.panel = panel
+        self.n = panel.n_obs
+        self.ref_firm = self.F - 1
+        self.d_worker = np.bincount(panel.worker_idx, minlength=self.W).astype(np.float64)
+        self.g_firm = np.bincount(panel.firm_idx, minlength=self.F).astype(np.float64)
+        self.contact = (self.worker_mat.T @ self.g_mat).tocsr()  # W x (F-1+K)
+        self.exact_table = None  # (P_oo, {component: B_oo}), see correct._exact_table
+
+    @cached_property
+    def cells(self) -> Cells:
+        """The panel's distinct cells, found once and shared by both
+        correction backends."""
+        return Cells(self.panel)
 
     # -- normal equations --------------------------------------------------
     @cached_property

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 import scipy.sparse
@@ -496,15 +498,31 @@ def test_schur_allocation_failure_is_numerical_error(monkeypatch):
     assert "backend='stochastic'" in message
 
 
-@pytest.mark.parametrize("block_width", (None, 3))
-def test_probe_stream_matches_one_at_a_time_dense_oracle(block_width, monkeypatch):
+@pytest.mark.parametrize(
+    "draw_width, batch_width, n_covariates",
+    [(None, None, 0), (3, None, 0), (2, 5, 0), (3, None, 2)],
+    ids=["None", "3", "batch_spans_draws", "covariates"],
+)
+def test_probe_stream_matches_one_at_a_time_dense_oracle(
+    draw_width, batch_width, n_covariates, monkeypatch
+):
     """Probe z_r is the r-th draw of default_rng(seed), one probe at a time,
-    whatever the block width; estimates equal dense evaluations on that stream."""
+    whatever the widths of draws and of solve batches; estimates equal dense
+    evaluations on that stream. Without covariates the 90 rows share 44
+    cells, and a batch of 5 probes spans draws of 2, 2 and 1; with continuous
+    covariates every row is its own cell."""
     rng = np.random.default_rng(13)
-    panel = random_connected_panel(rng, n_workers=30, n_firms=6)
-    n, W = panel.n_obs, panel.n_workers
-    if block_width is not None:
-        monkeypatch.setattr(correct_module, "PROBE_BLOCK_BYTES", 8 * n * block_width)
+    panel = random_connected_panel(rng, n_workers=30, n_firms=6, n_covariates=n_covariates)
+    n, W, F, K = panel.n_obs, panel.n_workers, panel.n_firms, n_covariates
+    keys = np.column_stack([panel.worker_idx, panel.firm_idx, panel.covariates])
+    cells = np.unique(keys, axis=0).shape[0]
+    if draw_width is not None:
+        budget = 8 * max(n * draw_width, cells * (batch_width or 0))
+        monkeypatch.setattr(correct_module, "PROBE_BLOCK_BYTES", budget)
+        assert budget // (8 * n) == draw_width
+        if batch_width is not None:
+            assert budget // (8 * cells) == batch_width
+            assert budget // (8 * (W + F - 1 + K)) >= batch_width  # the trace probes' batch too
     D, Sinv, A_of = dense_pieces(panel)
     seed, probes = 5, 7
 
@@ -522,8 +540,8 @@ def test_probe_stream_matches_one_at_a_time_dense_oracle(block_width, monkeypatc
     )
     P = D @ Sinv @ D.T
     C = np.eye(n) - 1.0 / n
-    Hl = C @ np.column_stack([D[:, :W], np.zeros((n, D.shape[1] - W))])
-    Hr = C @ np.column_stack([np.zeros((n, W)), D[:, W:]])
+    Hl = C @ np.column_stack([D[:, :W], np.zeros((n, F - 1 + K))])
+    Hr = C @ np.column_stack([np.zeros((n, W)), D[:, W : W + F - 1], np.zeros((n, K))])
     draws = np.random.default_rng(seed)
     z = [draws.integers(0, 2, n) * 2.0 - 1.0 for _ in range(probes)]
     p_hat = np.mean([(P @ zr) ** 2 for zr in z], axis=0)
@@ -581,9 +599,13 @@ def test_stochastic_decomposition_components_equal_single_form_corrections(
 @pytest.mark.parametrize("method, columns_per_probe", (("homoskedastic_trace", 1), ("leave_out", 3)))
 def test_stochastic_decomposition_solves_shared_columns(method, columns_per_probe, monkeypatch):
     """Homoskedastic: one S^{-1} z per probe serves the three forms. Leave-out:
-    one leverage column plus one per distinct observation map (alpha, psi)."""
+    one leverage column plus one per distinct observation map (alpha, psi).
+    Each stage solves its probes in batches as wide as the budget allows for
+    cell-length columns (and parameter-length ones for the trace probes):
+    ceil(probes / batch) calls per stage."""
     panel, _, loo, est_panel, est = loo_estimated(seed=5)
-    monkeypatch.setattr(correct_module, "PROBE_BLOCK_BYTES", 8 * est_panel.n_obs * 3)
+    budget = 8 * est_panel.n_obs * 3
+    monkeypatch.setattr(correct_module, "PROBE_BLOCK_BYTES", budget)
     columns = []
     solve_cg = Design.solve_cg
 
@@ -595,3 +617,10 @@ def test_stochastic_decomposition_solves_shared_columns(method, columns_per_prob
     probes = 20
     corrected_decomposition(est_panel, est, method, "stochastic", probes=probes, seed=0)
     assert sum(columns) == columns_per_probe * probes
+    cells = np.unique(np.column_stack([est_panel.worker_idx, est_panel.firm_idx]), axis=0).shape[0]
+    if method == "homoskedastic_trace":
+        params = est_panel.n_workers + est_panel.n_firms - 1
+        stages, batch = 1, budget // (8 * max(params, cells))
+    else:  # the leverages, then the weight maps
+        stages, batch = 2, budget // (8 * cells)
+    assert len(columns) == stages * math.ceil(probes / batch)
