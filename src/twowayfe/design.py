@@ -49,13 +49,21 @@ class Incidence:
         self.p = self.W + self.F - 1 + self.K
 
         ones = np.ones(rows)
-        self.worker_mat = sp.csr_matrix((ones, (np.arange(rows), worker_idx)), shape=(rows, self.W))
         firm_full = sp.csr_matrix((ones, (np.arange(rows), firm_idx)), shape=(rows, self.F))
         self.firm_red = firm_full[:, : self.F - 1].tocsr()
         if self.K:
             self.g_mat = sp.hstack([self.firm_red, sp.csr_matrix(covariates)]).tocsr()
         else:
             self.g_mat = self.firm_red
+
+    @cached_property
+    def worker_mat(self) -> sp.csr_matrix:
+        """The worker indicators, rows x W; built on first use (the exact
+        engine never reads the cells' own)."""
+        rows = self.worker_idx.size
+        return sp.csr_matrix(
+            (np.ones(rows), (np.arange(rows), self.worker_idx)), shape=(rows, self.W)
+        )
 
     # -- block slices ----------------------------------------------------
     @property

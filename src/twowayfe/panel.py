@@ -9,17 +9,29 @@ worker and period.
 
 The layer works on integer codes and column arrays, not per-row records:
 
-- `load_panel` reads the file in one pass, `CHUNK_ROWS` records at a time.
-  Each chunk is parsed column by column (ids stripped and coded through
-  running dicts, numbers through the same Python `float`/`int` parses a row
-  loop would use); only a chunk in which some value fails is re-parsed row
-  by row, to drop just the failing rows. Memory holds one chunk of text plus
-  the numeric columns. Drop checks and duplicate detection are vectorized.
+- `load_panel` reads the file in one pass, `CHUNK_ROWS` physical lines at a
+  time, and drops blank lines as csv.reader does. Each chunk is parsed by one
+  `np.loadtxt` call in numpy's C text parser; ids are stripped and coded
+  through running dicts. loadtxt parses floats with `PyOS_string_to_double`,
+  the parser of `float()`, and rejects the inputs on which they differ
+  (underscores, non-ASCII digits, a missing field, a whitespace-only line).
+  The period is kept when every value is finite and inside int64. A chunk
+  that fails either check, or holds one of the ASCII separators \\x1c-\\x1f
+  (which loadtxt strips around a number and `float()` rejects), is re-parsed
+  by csv.reader and a row loop, to drop just its failing rows. From the first
+  chunk that holds a quote on, csv.reader splits the rest of the file into
+  records, so a quoted field may span lines. A chunk of records takes the
+  same C parse, its used fields joined again by the delimiter, when no such
+  field holds the delimiter or a line break; otherwise the row loop. Memory
+  holds one chunk of text plus the numeric columns. Drop checks and
+  duplicate detection are vectorized.
 - `restrict_panel` re-indexes the kept rows in O(n + W + F): a subset of
   sorted, unique rows with ids renumbered monotonically stays sorted and
   unique, so ids and rows are never re-sorted or re-checked.
 - `write_panel` formats whole columns and writes them `CHUNK_ROWS` rows at a
-  time.
+  time, each chunk as one joined string. csv.writer writes the chunks instead
+  when it would quote a field: an id holds the delimiter, a quote or a line
+  break, or the delimiter can occur in a number.
 """
 
 from __future__ import annotations
@@ -27,7 +39,7 @@ from __future__ import annotations
 import csv
 import os
 from dataclasses import dataclass, field
-from itertools import compress
+from itertools import chain, compress, islice
 from operator import itemgetter
 
 import numpy as np
@@ -35,8 +47,9 @@ import numpy as np
 from .errors import ConfigError, DataError
 
 MANDATORY_COLUMNS = ("worker", "firm", "period", "log_wage")
-# Records per chunk read by `load_panel` and rows per chunk written by
-# `write_panel`: memory holds one chunk of text rows, not the whole file.
+# Physical lines per chunk read by `load_panel` (records, once csv.reader reads
+# the rest of a quoted file) and rows per chunk written by `write_panel`:
+# memory holds one chunk of text rows, not the whole file.
 CHUNK_ROWS = 16384
 
 
@@ -269,23 +282,47 @@ _DROP_MESSAGES = {
 # A short row raises IndexError; int() of inf and int64 of a period out of
 # range raise OverflowError.
 _PARSE_ERRORS = (ValueError, OverflowError, IndexError)
+# numpy strips these ASCII separators around a number as whitespace; float()
+# does not, so a chunk that holds one is parsed row by row.
+_SEPARATORS = "\x1c\x1d\x1e\x1f"
+_INT64_BOUND = 2.0**63
 
 
-def _convert_columns(records, getters):
-    """Parse one chunk column by column; raises on the first bad value."""
-    n = len(records)
-    worker, firm, period, *floats = (list(map(g, records)) for g in getters)
+def _check_delimiter(delimiter) -> None:
+    if not isinstance(delimiter, str) or len(delimiter) != 1 or delimiter in '"\r\n':
+        raise ConfigError(
+            f"delimiter must be one character other than '\"', CR or LF, got {delimiter!r}"
+        )
+
+
+def _convert_lines(lines, text, delimiter, positions):
+    """Parse one chunk of unquoted, non-blank lines (joined: `text`) in numpy's
+    C text parser; None when the text holds a separator, a line is rejected,
+    or a period is not finite or outside int64."""
+    if any(c in text for c in _SEPARATORS):
+        return None
+    dtype = [("worker", "O"), ("firm", "O"), ("period", "f8"), ("values", "f8", len(positions) - 3)]
+    try:
+        table = np.loadtxt(
+            lines, dtype=dtype, delimiter=delimiter, comments=None, usecols=positions, ndmin=1
+        )
+    except ValueError:
+        return None
+    period = table["period"]
+    if not np.all((period >= -_INT64_BOUND) & (period < _INT64_BOUND)):  # NaN fails both
+        return None
     return (
-        list(map(str.strip, worker)),
-        list(map(str.strip, firm)),
-        np.fromiter(map(int, map(float, period)), dtype=np.int64, count=n),
-        np.column_stack([np.fromiter(map(float, c), dtype=np.float64, count=n) for c in floats]),
-        np.zeros(n, dtype=bool),
+        list(map(str.strip, table["worker"].tolist())),
+        list(map(str.strip, table["firm"].tolist())),
+        period.astype(np.int64),
+        np.ascontiguousarray(table["values"]),
+        np.zeros(len(lines), dtype=bool),
     )
 
 
-def _convert_rows(records, getters):
-    """Parse one chunk row by row, flagging the rows that fail."""
+def _convert_rows(records, positions):
+    """Parse one chunk of csv records row by row, flagging the rows that fail."""
+    getters = [itemgetter(k) for k in positions]
     placeholder = ("", "", 0, *[0.0] * (len(getters) - 3))
     parsed, bad = [], []
     for rec in records:
@@ -307,31 +344,65 @@ def _convert_rows(records, getters):
     )
 
 
-def _read_chunks(reader, getters, worker_index, firm_index):
-    """Yield (line, unparsable, worker code, firm code, period, values) per
-    chunk of at most CHUNK_ROWS records; values holds log wage then covariates."""
+def _convert_records(records, delimiter, positions):
+    """Parse one chunk of csv records. Their used fields, joined by the
+    delimiter, take the C parse when no field holds the delimiter or a line
+    break, so that each joined line splits back into the same fields."""
+    try:
+        lines = list(map(delimiter.join, map(itemgetter(*positions), records)))
+    except IndexError:  # a short record
+        return _convert_rows(records, positions)
+    text = "".join(lines)
+    splits_back = text.count(delimiter) == len(lines) * (len(positions) - 1)
+    if splits_back and "\r" not in text and "\n" not in text:
+        parsed = _convert_lines(lines, text, delimiter, list(range(len(positions))))
+        if parsed is not None:
+            return parsed
+    return _convert_rows(records, positions)
+
+
+def _read_records(reader, offset, delimiter, positions):
+    """Yield (line of each record, parsed columns) per chunk of at most
+    CHUNK_ROWS csv records; a record's line is the last physical line it
+    spans, `offset` lines on."""
     while True:
         records, lines = [], []
         for rec in reader:
             if rec:  # csv.DictReader skips blank lines too
                 records.append(rec)
-                lines.append(reader.line_num)
+                lines.append(reader.line_num + offset)
                 if len(records) == CHUNK_ROWS:
                     break
         if not records:
             return
-        try:
-            worker, firm, period, values, bad = _convert_columns(records, getters)
-        except _PARSE_ERRORS:
-            worker, firm, period, values, bad = _convert_rows(records, getters)
-        yield (
-            np.array(lines, dtype=np.int64),
-            bad,
-            _code(worker, worker_index),
-            _code(firm, firm_index),
-            period,
-            values,
-        )
+        yield np.array(lines, dtype=np.int64), _convert_records(records, delimiter, positions)
+
+
+def _read_chunks(fh, line, delimiter, positions):
+    """Yield (line of each record, parsed columns) per chunk of CHUNK_ROWS
+    physical lines after line `line`. From the first chunk that holds a quote
+    on, csv.reader splits the rest of the file, so a quoted field may span
+    lines."""
+    while raw := list(islice(fh, CHUNK_ROWS)):
+        text = "".join(raw)
+        if '"' in text:
+            reader = csv.reader(chain(raw, fh), delimiter=delimiter)
+            yield from _read_records(reader, line, delimiter, positions)
+            return
+        # A line is blank when a line break opens it: at the start of the chunk
+        # or right after another line break ("\r\n" is one break).
+        if text[0] in "\r\n" or "\n\n" in text or "\n\r" in text or "\r\r" in text:
+            kept = [r not in ("\n", "\r", "\r\n") for r in raw]
+            numbers = np.flatnonzero(kept) + line + 1
+            lines = list(compress(raw, kept))
+        else:
+            numbers, lines = np.arange(line + 1, line + 1 + len(raw)), raw
+        line += len(raw)
+        if lines:
+            parsed = _convert_lines(lines, text, delimiter, positions)
+            if parsed is None:
+                parsed = _convert_rows(list(csv.reader(lines, delimiter=delimiter)), positions)
+            yield numbers, parsed
 
 
 def load_panel(path, schema=None, delimiter=",") -> tuple[Panel, ValidationReport]:
@@ -351,6 +422,7 @@ def load_panel(path, schema=None, delimiter=",") -> tuple[Panel, ValidationRepor
     (worker, period) pair repeats; for duplicates the first occurrence wins.
     Warnings name the physical line of the row and come in line order.
     """
+    _check_delimiter(delimiter)
     schema = dict(schema or {})
     colmap = {k: schema.get(k, k) for k in MANDATORY_COLUMNS}
     cov_cols = list(schema.get("covariates", []))
@@ -360,6 +432,7 @@ def load_panel(path, schema=None, delimiter=",") -> tuple[Panel, ValidationRepor
 
     worker_index: dict = {}
     firm_index: dict = {}
+    chunks = []
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh, delimiter=delimiter)
         # name -> position; the last of duplicate names wins, as in csv.DictReader
@@ -370,8 +443,12 @@ def load_panel(path, schema=None, delimiter=",") -> tuple[Panel, ValidationRepor
         for col in cov_cols:
             if col not in position:
                 raise ConfigError(f"missing covariate column {col!r}")
-        getters = [itemgetter(position[c]) for c in (*colmap.values(), *cov_cols)]
-        chunks = list(_read_chunks(reader, getters, worker_index, firm_index))
+        positions = [position[c] for c in (*colmap.values(), *cov_cols)]
+        for numbers, (worker, firm, period, values, bad) in _read_chunks(
+            fh, reader.line_num, delimiter, positions
+        ):
+            wcode, fcode = _code(worker, worker_index), _code(firm, firm_index)
+            chunks.append((numbers, bad, wcode, fcode, period, values))
 
     if not chunks:
         raise DataError(f"no valid rows in {path}")
@@ -434,23 +511,32 @@ def _summary(values: np.ndarray) -> dict:
 
 def write_panel(panel: Panel, path, delimiter=",") -> None:
     """Write a Panel back to delimited text, CHUNK_ROWS rows at a time. Floats
-    use repr-precision so a write/load round trip reproduces values bit-for-bit."""
+    use repr-precision so a write/load round trip reproduces values bit-for-bit.
+    Rows are joined as plain text unless csv.writer would quote a field: an id
+    holding the delimiter, a quote or a line break, or a delimiter that can
+    occur in a number."""
+    _check_delimiter(delimiter)
     worker_ids = np.array(panel.worker_ids, dtype=object)
     firm_ids = np.array(panel.firm_ids, dtype=object)
+    ids = "".join(panel.worker_ids) + "".join(panel.firm_ids)
+    quoted = any(c in ids for c in (delimiter, '"', "\r", "\n"))
+    plain = not (quoted or delimiter.isalnum() or delimiter in "+-.")
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, delimiter=delimiter)
         writer.writerow(["worker", "firm", "period", "log_wage", *panel.covariate_names])
         for start in range(0, panel.n_obs, CHUNK_ROWS):
             rows = slice(start, start + CHUNK_ROWS)
             floats = [panel.log_wage[rows], *panel.covariates[rows].T]
-            writer.writerows(
-                zip(
-                    worker_ids[panel.worker_idx[rows]].tolist(),
-                    firm_ids[panel.firm_idx[rows]].tolist(),
-                    panel.period[rows].tolist(),
-                    *(map(float.__repr__, c.tolist()) for c in floats),
-                )
+            fields = zip(
+                worker_ids[panel.worker_idx[rows]].tolist(),
+                firm_ids[panel.firm_idx[rows]].tolist(),
+                map(str, panel.period[rows].tolist()),
+                *(map(float.__repr__, c.tolist()) for c in floats),
             )
+            if plain:
+                fh.write("".join([delimiter.join(f) + "\r\n" for f in fields]))
+            else:
+                writer.writerows(fields)
 
 
 def restrict_panel(panel: Panel, keep_workers, keep_firms) -> Panel:

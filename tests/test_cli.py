@@ -53,6 +53,15 @@ class TestValidate:
         code = run_cli("validate", "--panel", str(tmp_path / "nope.csv"), "--out", str(tmp_path / "o"))
         assert code == 2
 
+    @pytest.mark.parametrize("delimiter", [";;", '"'])
+    def test_bad_delimiter_is_config_error(self, tmp_path, fixture_file, capsys, delimiter):
+        out = tmp_path / "v"
+        code = run_cli("validate", "--panel", fixture_file, "--out", str(out), "--delimiter", delimiter)
+        assert code == cli.EXIT_CONFIG
+        error = json.loads(capsys.readouterr().out)["error"]
+        assert error["kind"] == "config" and repr(delimiter) in error["message"]
+        assert not (out / "validation_report.json").exists()
+
 
 class TestConnect:
     def test_membership_and_summary(self, tmp_path, fixture_file):

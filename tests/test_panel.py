@@ -116,6 +116,19 @@ class TestLoadPanel:
         assert report.rows_dropped == 3
 
 
+class TestDelimiter:
+    @pytest.mark.parametrize("delimiter", [";;", "", '"', "\r", "\n", None, b","])
+    def test_bad_delimiter_is_config_error_naming_it(self, tmp_path, exactfit_panel, delimiter):
+        f = tmp_path / "p.csv"
+        write_panel(exactfit_panel, f)
+        for call in (lambda: load_panel(f, delimiter=delimiter),
+                     lambda: write_panel(exactfit_panel, tmp_path / "q.csv", delimiter)):
+            with pytest.raises(ConfigError, match="delimiter") as err:
+                call()
+            assert repr(delimiter) in str(err.value)
+        assert not (tmp_path / "q.csv").exists()
+
+
 class TestPanelInvariants:
     def test_dense_indices_and_sorted_observations(self, exactfit_panel):
         p = exactfit_panel
@@ -334,11 +347,26 @@ def dirty_csv(rng, covariates, delimiter):
     return buf.getvalue(), schema
 
 
+def count_c_parses(monkeypatch):
+    """Count the chunks that `_convert_lines` parses (rather than hands back)
+    in the one-element list returned."""
+    parsed = [0]
+    convert_lines = twowayfe.panel._convert_lines
+
+    def counted(*args):
+        columns = convert_lines(*args)
+        parsed[0] += columns is not None
+        return columns
+
+    monkeypatch.setattr(twowayfe.panel, "_convert_lines", counted)
+    return parsed
+
+
 class TestLoaderOracle:
     def test_fuzzed_dirty_files_match_per_row_loader(self, tmp_path, monkeypatch):
         rng = random.Random(20260501)
         f = tmp_path / "p.csv"
-        chunks = fallbacks = 0
+        fallbacks = 0
         convert_rows = twowayfe.panel._convert_rows
 
         def counted_convert_rows(*args):
@@ -347,6 +375,7 @@ class TestLoaderOracle:
             return convert_rows(*args)
 
         monkeypatch.setattr(twowayfe.panel, "_convert_rows", counted_convert_rows)
+        parsed = count_c_parses(monkeypatch)
         for case in range(320):
             delimiter = rng.choice([",", ";", "\t"])
             text, schema = dirty_csv(rng, covariates=case % 2 == 1, delimiter=delimiter)
@@ -362,9 +391,67 @@ class TestLoaderOracle:
             panel, report = load_panel(f, schema, delimiter)
             assert panel == expected[0], case
             assert report == expected[1], case
-            chunks += -(-report.rows_read // chunk_rows)
-        # both the column-wise parse and the per-row fallback ran often
-        assert fallbacks > 200 and chunks - fallbacks > 200
+        # both the C parse of whole chunks and the per-row fallback ran often
+        assert fallbacks > 200 and parsed[0] > 200
+
+    @pytest.mark.parametrize(
+        "text, delimiter, chunk_rows, c_chunks",
+        [
+            pytest.param(
+                "worker,firm,period,log_wage\r\na,f1,1,1.5\r\n\r\nb,f2,2,nan\r\nc,f1,3,2\r\n",
+                ",", 2, 2, id="crlf",
+            ),
+            pytest.param(
+                "worker,firm,period,log_wage\ra,f1,1,1.5\r\r\rb,f2,2,2.5\rc,f1,3,-inf\r",
+                ",", 2, 3, id="bare_cr",
+            ),
+            pytest.param(
+                "worker,firm,period,log_wage\na,f1,1,1.5\n   \n\t\nb,f1,2,2\n",
+                ",", 1000, 0, id="whitespace_only_lines",
+            ),
+            pytest.param(
+                "worker,firm,period,log_wage\na,f1,1_0,1.5\nb,f1,1,2_5\nc,f2,1,3\n",
+                ",", 1000, 0, id="underscore_digits",
+            ),
+            pytest.param(
+                "worker,firm,period,log_wage\na,f1,\x1c1,1.5\nb,f1,1,2\x1f\nc,f2,1,3\n",
+                ",", 1000, 0, id="ascii_separator_around_number",
+            ),
+            pytest.param(
+                'worker,firm,period,log_wage\n"a,1",f1,1,1.5\n"b\n\nc",f1,1,2\n"d""e",f2,2,3\n'
+                '"w,f",1,2,3\n"x\ny",2,3,4\n',
+                ",", 1000, 0, id="quoted_ids",
+            ),
+            pytest.param(
+                '"worker","firm","period","log_wage"\n"a","f1","1","1.5"\n"d""e"," f 2 ",2,"3"\n'
+                '"g",f1,"1_0",4\n',
+                ",", 2, 1, id="quote_all",
+            ),
+            pytest.param(
+                "worker firm period log_wage\na  f1 1 1.5\n b f1 1 2\nc f1 1 2 \nd f2 1 3\n",
+                " ", 1000, 0, id="space_delimiter_repeated",
+            ),
+            pytest.param(
+                "worker firm period log_wage\na f1 1 1.5\nb f2 2 2.5 \n",
+                " ", 1000, 1, id="space_delimiter_trailing",
+            ),
+            pytest.param(
+                'worker;firm;period;log_wage\na;f1;1;1.5\nb;f2;1;2\n\n"c\n1";f1;1;3\nd;f2;x;4\n'
+                "e;f1;2;5\n",
+                ";", 2, 2, id="quoted_record_after_clean_chunk",
+            ),
+        ],
+    )
+    def test_edge_inputs_match_per_row_loader(
+        self, tmp_path, monkeypatch, text, delimiter, chunk_rows, c_chunks
+    ):
+        f = tmp_path / "p.csv"
+        f.write_text(text, encoding="utf-8", newline="")
+        parsed = count_c_parses(monkeypatch)
+        monkeypatch.setattr(twowayfe.panel, "CHUNK_ROWS", chunk_rows)
+        panel, report = load_panel(f, delimiter=delimiter)
+        assert (panel, report) == oracle_load(f, delimiter=delimiter)
+        assert parsed[0] == c_chunks  # chunks the C parser took; the rest were handed back
 
     def test_warnings_name_physical_lines_after_blank_lines(self, tmp_path):
         f = tmp_path / "p.csv"
@@ -437,6 +524,26 @@ class TestColumnarOracles:
             # kept workers whose every firm was dropped vanish from the ids
             lost_workers += len(keep_w) - got.n_workers
         assert lost_workers > 50
+
+    @pytest.mark.parametrize("delimiter", [",", " ", "\t", ".", "e", "1", "-", "+"])
+    def test_write_quotes_where_row_by_row_writer_does(self, tmp_path, delimiter):
+        """Ids and delimiters that make csv.writer quote a field, and ones that
+        do not: the output is the row-by-row writer's, and it loads back."""
+        f = tmp_path / "p.csv"
+        panels = [
+            Panel(
+                worker=["ka", "kb", "ka"], firm=["fx", "fy", "fx"], period=[1, -2, 3],
+                log_wage=[1.5, -2.5e-7, 1e22], covariates=[[0.1], [1e100], [-0.0]],
+                covariate_names=("x.1",),
+            ),
+            Panel(worker=["", f"a{delimiter}b", "c"], firm=['f"1', "f\r2", "f\n3"],
+                  period=[1, 2, 3], log_wage=[1.0, 2.0, 3.0]),
+        ]
+        for panel in panels:
+            write_panel(panel, f, delimiter)
+            assert f.read_bytes() == oracle_write(panel, delimiter)
+            back, report = load_panel(f, delimiter=delimiter)
+            assert (back, report) == oracle_load(f, delimiter=delimiter)
 
     def test_write_matches_row_by_row_writer(self, tmp_path, monkeypatch):
         rng = random.Random(11)
