@@ -1,0 +1,73 @@
+#!/usr/bin/env python3
+"""Does the stochastic leave-out's `mc_stderr` cover its error?
+
+For each of `--seeds` panels of the criterion-8 design (3000 workers, 300
+firms, T=2, size-skewed firms, size-coupled heteroskedastic noise; simulator
+seeds 0, 1, ...), fits the leave-one-out connected set by conjugate gradient
+and corrects var_alpha, var_psi and cov_alpha_psi by leave-out twice: once
+exactly and once in one stochastic call at `--probes` probes (probe seed =
+simulator seed). Per component it prints the share of seeds with
+|stochastic - exact| <= 2 mc_stderr and the mean and RMS of
+(stochastic - exact) / mc_stderr. A calibrated error gives about 95%, 0 and 1.
+
+    python3 scripts/stochastic_calibration.py --seeds 30 --probes 100
+
+The package is imported from `src/` of the checkout this script sits in.
+"""
+
+import argparse
+import os
+import sys
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, os.path.join(ROOT, "src"))
+
+import numpy as np  # noqa: E402
+
+import twowayfe as tw  # noqa: E402
+from twowayfe.correct import (  # noqa: E402
+    DEFAULT_CG_TOL,
+    QuadraticForm,
+    _exact_corrections,
+    _stochastic_corrections,
+)
+
+CRITERION_8 = dict(
+    n_workers=3000, n_firms=300, n_periods=2, var_alpha_true=0.1, var_psi_true=0.02,
+    corr_sorting=0.1, movers_share=0.25, network="size_skewed",
+    noise_kind="heteroskedastic", noise_sigma2_range=(0.01, 0.1), noise_size_coupled=True,
+)
+COMPONENTS = ("var_alpha", "var_psi", "cov_alpha_psi")
+
+
+def main(argv=None) -> int:
+    p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    p.add_argument("--seeds", type=int, default=30)
+    p.add_argument("--probes", type=int, default=100)
+    args = p.parse_args(argv)
+
+    ratios = {c: [] for c in COMPONENTS}
+    for seed in range(args.seeds):
+        panel, _ = tw.simulate_panel(tw.SimConfig(seed=seed, **CRITERION_8))
+        loo = tw.leave_one_out_connected_set(tw.build_graph(panel), panel)
+        loo_panel = tw.restrict_panel(panel, loo.workers, loo.firms)
+        est = tw.estimate(loo_panel, None, tw.SolverConfig(method="conjugate_gradient"))
+        forms = [QuadraticForm(c, est.design) for c in COMPONENTS]
+        exact = _exact_corrections(est, forms, "leave_out")
+        stoch = _stochastic_corrections(
+            est, forms, "leave_out", args.probes, seed, DEFAULT_CG_TOL
+        )
+        for c in COMPONENTS:
+            ratios[c].append((stoch[c].corrected - exact[c].corrected) / stoch[c].mc_stderr)
+
+    print(f"{args.seeds} seeds of the criterion-8 design, {args.probes} probes")
+    print(f"{'component':<16}{'|err| <= 2 se':>15}{'mean err/se':>13}{'RMS err/se':>12}")
+    for c, r in ratios.items():
+        r = np.array(r)
+        print(f"{c:<16}{np.mean(np.abs(r) <= 2.0):>14.0%} {r.mean():>12.2f}"
+              f"{np.sqrt(np.mean(r * r)):>12.2f}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -33,20 +33,26 @@ m x m array while the table is built, plus chunk * m per block of cells, then
 5 floats per observation kept. Quadratic-form matrices are never
 materialized; components act through centered selector maps.
 
-The stochastic backend works on the same cells (`Design.cells`). A Rademacher
-probe over observations costs O(n) to draw and to reduce to per-cell sums;
-D'z, P z = D S^{-1} D'z, the alpha and psi weight maps and the trace forms'
-centered block values are then formed once per cell, O(cells), weighted by
-the cell's person-years or by its sum of sigma2_o. Only the JLA
-M^_oo = sum_r (z_or - (P z_r)_{c(o)})^2 stays per observation, another O(n).
+The stochastic backend works on the same cells (`Design.cells`). A
+leave-out probe z over observations exists only as its per-cell sums s_c:
+the T_c signs of a cell are the bits of ceil(T_c / 64) raw 64-bit words of
+the stream, so s_c = 2 popcount - T_c, O(cells) to draw. D'z, P z, the alpha
+and psi weight maps and the JLA M^ (averaged over each cell's rows) read
+only s, and every solve runs in the m = (F-1+K)-dimensional Schur space
+through T (`_schur_rows`), the cells' reduced rows: O(cells + nnz(T)) per
+probe outside CG, with no pass over observations (sigma2_o is reduced to
+per-cell sums once per call). The homoskedastic trace probes are Rademacher
+over parameters, O(p) to draw, their centered block values formed once per
+cell. Per-cell values are weighted by the cell's person-years (trace forms)
+or by its sum of sigma2_o (leave-out maps).
 Each stage solves its probes in batches of b = PROBE_BLOCK_BYTES // (8 cells)
 columns (8 max(p, cells) for the parameter-space trace probes), one batched
 CG run per batch against the Schur complement, which the Design assembles
 once as a sparse m x m matrix: O(iterations * nnz(Schur) * b) per batch.
-Draws come in sub-blocks set by the same byte budget over n-length rows, so
-temporaries stay within a few budgets plus n * b bytes of probe signs.
-Probes follow the seeded stream in one-at-a-time order, so results do not
-depend on either width.
+The trace probes are drawn in sub-blocks set by the same byte budget over
+n-length rows, so temporaries stay within a few budgets. Probes follow the
+seeded stream in one-at-a-time order, so results do not depend on either
+width.
 Leave-out leverages are JLA-normalized, P^/(P^ + M^), so they stay below one.
 All components of one call share one probe stream, default_rng(seed): at P
 probes a homoskedastic decomposition solves P columns (one S^{-1} z serves
@@ -62,9 +68,10 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
 from .decompose import Decomposition, decompose_variance
-from .design import Design
+from .design import Cells, Design
 from .errors import ConfigError, DataError, NumericalError
 from .network import ConnectedSet
 from .panel import Panel, restrict_panel
@@ -105,8 +112,9 @@ class QuadraticForm:
         return COMPONENTS[self.component]
 
     def _centered_values(self, phi: np.ndarray, block: str) -> np.ndarray:
-        v = self.design.obs_values(phi, block)
-        return v - v.mean(axis=0)
+        v = self.design.obs_values(phi, block)  # a new array: centered in place
+        v -= v.mean(axis=0)
+        return v
 
     def apply(self, phi: np.ndarray) -> np.ndarray:
         """A @ phi (symmetrized)."""
@@ -203,22 +211,10 @@ def _rademacher(rng, cols: slice, size: int) -> np.ndarray:
     return _SIGNS.take(draw, mode="clip")  # indices are 0 or 1: clipping skips the bounds check
 
 
-def _row_probes(design: Design, probes: int, rng):
-    """Per solve batch of b Rademacher probes over observations, their
-    per-cell sums (cells x b) and their signs (b x n, int8). b is set by
-    PROBE_BLOCK_BYTES over cell-length columns; the draws come in sub-blocks
-    set by the same budget over observation-length ones."""
-    cells, n = design.cells, design.n
-    for batch in _spans(probes, cells.size):
-        signs = np.empty((batch.stop - batch.start, n), np.int8)
-        for cols in _spans(len(signs), n):
-            signs[cols] = _rademacher(rng, cols, n)
-        yield cells.sums(signs), signs
-
-
 def _stderr(vals: np.ndarray) -> float:
-    """Monte Carlo standard error of the mean of per-probe values."""
-    return float(vals.std(ddof=1) / np.sqrt(vals.size)) if vals.size > 1 else float("inf")
+    """Monte Carlo standard error of the mean of per-probe values (at least
+    two, see _check_probes)."""
+    return float(vals.std(ddof=1) / np.sqrt(vals.size))
 
 
 def _centered_cell_values(design: Design, phi: np.ndarray, block: str) -> np.ndarray:
@@ -265,8 +261,22 @@ def hutchinson_trace_quadratic(
     """trace(A S^{-1}) by Rademacher probing: mean over probes of z'A S^{-1} z,
     the solves batched by conjugate gradient. Returns (estimate, MC standard
     error)."""
+    _check_probes(probes)
     vals = _trace_probes([form], probes, np.random.default_rng(seed), cg_tol)[form.component]
     return float(vals.mean()), _stderr(vals)
+
+
+def _schur_rows(design: Design) -> sp.csr_matrix:
+    """T, the cells x m matrix with rows t_c = g_c - contact_w / d_w for a
+    cell of worker w. For u = S^{-1} b split as (a, y) over the worker block
+    and the firm/covariate block, a = D^{-1}(b_a - C y) (C = contact,
+    D = diag(d_w)), so (D u)_c = a_w + g_c'y = b_{a,w} / d_w + t_c'y: both
+    backends read every per-cell value of a solve from T and y."""
+    cells = design.cells
+    d = design.d_worker[cells.worker_idx]
+    contact = design.contact[cells.worker_idx]
+    contact.data /= np.repeat(d, np.diff(contact.indptr))  # divided, so stayers get t = 0 exactly
+    return cells.g_mat - contact  # CSR difference: zeros are not stored
 
 
 def _exact_tables(design: Design, forms: list[QuadraticForm], chunk: int = 512):
@@ -284,16 +294,13 @@ def _exact_tables(design: Design, forms: list[QuadraticForm], chunk: int = 512):
     """
     cells = design.cells
     n, F1 = design.n, design.F - 1
-    d = design.d_worker[cells.worker_idx]
-    contact = design.contact[cells.worker_idx]
-    contact.data /= np.repeat(d, np.diff(contact.indptr))  # divided, so stayers get t = 0 exactly
-    T = cells.g_mat - contact  # CSR difference: zeros are not stored
+    T = _schur_rows(design)
     live = np.flatnonzero(np.diff(T.indptr))
     V = design.schur_inverse() if live.size else None
     g_sums = np.asarray(design.g_mat.sum(axis=0)).ravel()
     n_firm = design.g_firm[:F1]
 
-    lev = 1.0 / d
+    lev = 1.0 / design.d_worker[cells.worker_idx]
     # sum d a^2, sum d a, sum n psi^2, sum n psi, sum a psi; their values at y = 0
     sums = np.vstack([lev, np.ones_like(lev), np.zeros((3, lev.size))])
     for lo in range(0, live.size, chunk):
@@ -332,52 +339,109 @@ def exact_trace_quadratic(form: QuadraticForm) -> float:
     return float(_exact_table(form.design)[1][form.component].sum())
 
 
-def _stochastic_leverages(design: Design, probes: int, rng, cg_tol: float) -> np.ndarray:
-    """JLA leverage estimates P^/(P^ + M^), which lie in (0, 1].
+_ALL_BITS = np.uint64(0xFFFF_FFFF_FFFF_FFFF)
+
+
+def _probe_sums(cells: Cells, probes: int, rng):
+    """Per solve batch of b Rademacher probes z over observations, the
+    probes' per-cell sums s_c as the columns of a (cells, b) array; b is set
+    by PROBE_BLOCK_BYTES over cell-length columns.
+
+    Only the sums are drawn: a cell of T_c rows reads its T_c signs as the
+    bits of ceil(T_c / 64) raw 64-bit words of the stream, the last one masked
+    to its remaining low bits, and s_c = 2 popcount - T_c. Probe r reads the
+    r-th run of words, as a one-at-a-time draw would, so results do not
+    depend on b."""
+    rows = cells.counts.astype(np.int64)
+    words = (rows + 63) // 64
+    ends = np.cumsum(words)
+    mask = np.full(ends[-1], _ALL_BITS)
+    mask[ends - 1] = _ALL_BITS >> (64 - rows + 64 * (words - 1)).astype(np.uint64)
+    long_cells = ends[-1] > cells.size  # some cell has more than 64 rows
+    for batch in _spans(probes, cells.size):
+        k = batch.stop - batch.start
+        bits = rng.bit_generator.random_raw(k * ends[-1]).reshape(k, -1)
+        ones = np.bitwise_count(np.bitwise_and(bits, mask, out=bits))
+        del bits
+        if long_cells:
+            ones = np.add.reduceat(ones, ends - words, axis=1, dtype=np.int64)
+        sums = np.multiply(ones.T, 2.0, order="C")
+        del ones
+        sums -= cells.counts[:, None]
+        yield sums
+
+
+def _stochastic_leverages(design: Design, T: sp.csr_matrix, probes: int, rng,
+                          cg_tol: float) -> np.ndarray:
+    """JLA leverage estimates P^/(P^ + M^) per cell, which lie in (0, 1].
 
     With S w_r = D' z_r, z_r Rademacher over observations, D w_r = P z_r and
     z_r - D w_r = M z_r, so P^_oo = mean_r (D w_r)_o^2 and
     M^_oo = mean_r (z_r - D w_r)_o^2 estimate P_oo and M_oo = 1 - P_oo without
     bias from the same solves (Kline, Saggio & Solvsten 2020). The ratio is
     not unbiased, but unlike P^ alone it cannot reach one unless M^_oo = 0.
-    D'z and P z = D w are formed per cell; only M^ needs each observation's z.
+
+    Everything reads the probes' per-cell sums s: D'z has the worker block
+    W's and the firm/covariate block G's, so its reduced right-hand side is
+    T's, and (P z)_c = (W's)_w / d_w + t_c'y (`_schur_rows`). P_oo and M_oo
+    are the same for the rows of a cell, so M^ is averaged over them: with
+    pi = (P z)_c, sum_{o in c} (z_o - pi)^2 / T_c = (pi - s_c/T_c)^2 +
+    1 - (s_c/T_c)^2, both terms >= 0.
     """
-    cells, n = design.cells, design.n
+    cells = design.cells
+    d = design.d_worker[:, None]
     p_hat = np.zeros(cells.size)
-    m_hat = np.zeros(n)
-    for sums, signs in _row_probes(design, probes, rng):
-        w, _ = design.solve_cg(cells.apply_T(sums), rtol=cg_tol)
-        pz = cells.apply(w)
+    m_hat = np.zeros(cells.size)
+    for sums in _probe_sums(cells, probes, rng):
+        y, _ = design.solve_schur(T.T @ sums, rtol=cg_tol)
+        pz = T @ y
+        pz += ((cells.worker_mat.T @ sums) / d)[cells.worker_idx]
         p_hat += np.einsum("ij,ij->i", pz, pz)
-        pz = np.ascontiguousarray(pz.T)
-        for cols in _spans(len(signs), n):
-            resid = pz[cols][:, cells.inverse]
-            np.subtract(signs[cols], resid, out=resid)
-            for r in np.square(resid, out=resid):
-                m_hat += r
-            del resid
-    p_hat = p_hat[cells.inverse]
+        sums /= cells.counts[:, None]  # each probe's mean over the cell's rows
+        pz -= sums
+        m_hat += np.einsum("ij,ij->i", pz, pz)
+        m_hat += sums.shape[1] - np.einsum("ij,ij->i", sums, sums)
     m_hat += p_hat
     return np.divide(p_hat, m_hat, out=m_hat)
 
 
-def _cell_maps(forms: list[QuadraticForm], probes: int, rng, cg_tol: float):
+def _cell_maps(forms: list[QuadraticForm], T: sp.csr_matrix, probes: int, rng, cg_tol: float):
     """Per batch of Rademacher probes z over observations, {b: D S^{-1} H_b' z}
     per cell (cells x batch) for each distinct observation map b of the forms
-    (H_b its centered selector), the maps' right-hand sides solved together in
-    one batched CG run."""
+    (H_b its centered selector), the maps' reduced right-hand sides solved
+    together in one batched Schur-space CG run.
+
+    H_b' z is block b's incidence applied to centered z: W's~ on the workers
+    for an alpha map, F's~ on the non-reference firms for a psi map, s~ the
+    probes' centered per-cell sums. Its reduced right-hand side is
+    (F's~, 0) - C'(W's~ / d), and its value per cell (W's~)_w / d_w + t_c'y
+    (`_schur_rows`)."""
     design = forms[0].design
     cells = design.cells
+    F1 = design.F - 1
     blocks = list(dict.fromkeys(b for f in forms for b in f.blocks))
-    for sums, _ in _row_probes(design, probes, rng):
-        # H_b' z is block b's incidence applied to centered z: per cell, its sum
-        # minus the cell's person-years times the probe's mean
+    for sums in _probe_sums(cells, probes, rng):
+        # per cell, the probe's sum minus the cell's person-years times its mean
         sums -= np.outer(cells.counts, sums.sum(axis=0) / design.n)
         k = sums.shape[1]
-        rhs = np.hstack([cells.scatter_obs(sums, b) for b in blocks])
-        u, _ = design.solve_cg(rhs, rtol=cg_tol)
-        maps = {b: cells.apply(u[:, i * k : (i + 1) * k]) for i, b in enumerate(blocks)}
-        del rhs, u
+        worker = (cells.worker_mat.T @ sums) / design.d_worker[:, None]
+        alpha_rhs = design.contact.T @ worker
+        psi_rhs = cells.firm_red.T @ sums
+        rhs = np.zeros((T.shape[1], len(blocks) * k))
+        for i, b in enumerate(blocks):
+            if b in ("alpha", "alpha_plus_psi"):
+                rhs[:, i * k : (i + 1) * k] -= alpha_rhs
+            if b in ("psi", "alpha_plus_psi"):
+                rhs[:F1, i * k : (i + 1) * k] += psi_rhs
+        y, _ = design.solve_schur(rhs, rtol=cg_tol)
+        del rhs
+        values = T @ y
+        del y
+        maps = {b: values[:, i * k : (i + 1) * k] for i, b in enumerate(blocks)}
+        worker = worker[cells.worker_idx]
+        for b in blocks:
+            if b in ("alpha", "alpha_plus_psi"):
+                maps[b] += worker
         yield maps
         maps.clear()  # the caller is done with them: free them before the next draw
 
@@ -400,7 +464,7 @@ def compute_leverages(
     block width. The ratio is not unbiased; the small-sample nonlinearity it
     and 1/(1 - P_oo) induce downstream is documented and left uncorrected.
     """
-    _check_backend(backend)
+    _check_backend(backend, probes)
     est_panel = panel if conn is None else restrict_panel(panel, conn.workers, conn.firms)
     design = Design(est_panel)
     form = QuadraticForm(component=component, design=design)
@@ -413,16 +477,17 @@ def compute_leverages(
             backend=backend,
         )
     rng = np.random.default_rng(seed)
-    lev = _stochastic_leverages(design, probes, rng, cg_tol)
+    T = _schur_rows(design)
+    lev = _stochastic_leverages(design, T, probes, rng, cg_tol)
     # per probe, the weight product averages to n * B_oo (Rademacher coordinates
     # are independent)
     left, right = form.blocks
     bw = np.zeros(design.cells.size)
-    for maps in _cell_maps([form], probes, rng, cg_tol):
+    for maps in _cell_maps([form], T, probes, rng, cg_tol):
         bw += np.einsum("ij,ij->i", maps[left], maps[right])
     bw = bw[design.cells.inverse] / (probes * design.n)
     return LeverageTable(
-        leverage=lev,
+        leverage=lev[design.cells.inverse],
         component_weight=bw,
         component=component,
         backend=backend,
@@ -436,9 +501,8 @@ def _sigma2(estimates: Estimates) -> float:
     return estimates.rss / estimates.dof
 
 
-def _result(form: QuadraticForm, phi: np.ndarray, correction: float, method: str,
+def _result(form: QuadraticForm, plug_in: float, correction: float, method: str,
             backend: str, **stochastic) -> CorrectionResult:
-    plug_in = form.quad(phi)
     return CorrectionResult(
         component=form.component,
         plug_in=plug_in,
@@ -464,7 +528,7 @@ def _exact_corrections(estimates: Estimates, forms: list[QuadraticForm], method:
     else:
         bias = {f.component: sigma2 * float(weights[f.component].sum()) for f in forms}
     phi = _stacked(design, estimates)
-    return {f.component: _result(f, phi, bias[f.component], method, "exact") for f in forms}
+    return {f.component: _result(f, f.quad(phi), bias[f.component], method, "exact") for f in forms}
 
 
 def _leave_out_probes(estimates: Estimates, forms: list[QuadraticForm], probes: int,
@@ -474,11 +538,13 @@ def _leave_out_probes(estimates: Estimates, forms: list[QuadraticForm], probes: 
     variances from one JLA leverage estimate: 1 + b solved columns per probe
     for the forms' b distinct observation maps."""
     design = forms[0].design
-    lev = _stochastic_leverages(design, probes, rng, cg_tol)
+    T = _schur_rows(design)
+    lev = _stochastic_leverages(design, T, probes, rng, cg_tol)
     _require_below_one(lev, probes)
-    sigma2_cell = design.cells.sums(design.panel.log_wage * estimates.residuals / (1.0 - lev))
+    # a cell's rows share its leverage
+    sigma2_cell = design.cells.sums(design.panel.log_wage * estimates.residuals) / (1.0 - lev)
     vals = {f.component: [] for f in forms}
-    for maps in _cell_maps(forms, probes, rng, cg_tol):
+    for maps in _cell_maps(forms, T, probes, rng, cg_tol):
         for f in forms:
             left, right = f.blocks
             v = np.einsum("ij,ij,i->j", maps[left], maps[right], sigma2_cell)
@@ -492,6 +558,11 @@ def _stochastic_corrections(estimates: Estimates, forms: list[QuadraticForm], me
     default_rng(seed): every form reads the same probes, so a decomposition
     pays for its solves once, and each form's mc_stderr is the standard error
     of its own per-probe values (the forms' errors are correlated)."""
+    # the plug-in values first: their observation-length temporaries then do
+    # not stack on the cells' arrays that the probe loops keep
+    phi = _stacked(forms[0].design, estimates)
+    plug_in = {f.component: f.quad(phi) for f in forms}
+    del phi
     rng = np.random.default_rng(seed)
     if method == "homoskedastic_trace":
         scale = _sigma2(estimates)
@@ -499,10 +570,9 @@ def _stochastic_corrections(estimates: Estimates, forms: list[QuadraticForm], me
     else:
         scale = 1.0  # the leave-out values already carry each sigma2_o
         vals = _leave_out_probes(estimates, forms, probes, rng, cg_tol)
-    phi = _stacked(forms[0].design, estimates)
     return {
         f.component: _result(
-            f, phi, scale * float(vals[f.component].mean()), method, "stochastic",
+            f, plug_in[f.component], scale * float(vals[f.component].mean()), method, "stochastic",
             probes_used=probes, seed=seed, mc_stderr=scale * _stderr(vals[f.component]),
         )
         for f in forms
@@ -516,15 +586,25 @@ def _corrections(estimates: Estimates, forms: list[QuadraticForm], method: str, 
     return _stochastic_corrections(estimates, forms, method, probes, seed, cg_tol)
 
 
-def _check_backend(backend: str) -> None:
+def _check_backend(backend: str, probes: int) -> None:
     if backend not in BACKENDS:
         raise ConfigError(f"unknown backend {backend!r}")
+    if backend == "stochastic":
+        _check_probes(probes)
+
+
+def _check_probes(probes: int) -> None:
+    if probes < 2:
+        raise ConfigError(
+            f"probes={probes}: the stochastic backend needs at least 2 probes, "
+            f"the fewest that give a Monte Carlo standard error"
+        )
 
 
 def _correct_one(panel: Panel, estimates: Estimates, form: QuadraticForm | str, method: str,
                  backend: str, probes: int, seed: int, cg_tol: float) -> CorrectionResult:
     _check_estimates(panel, estimates)
-    _check_backend(backend)
+    _check_backend(backend, probes)
     if isinstance(form, str):
         form = quadratic_form(estimates, form)
     return _corrections(estimates, [form], method, backend, probes, seed, cg_tol)[form.component]
@@ -590,10 +670,12 @@ def corrected_decomposition(
 ) -> Decomposition:
     """Decomposition with var_alpha, var_psi, and the covariance corrected by
     the chosen method; the residual is recomputed as total minus the corrected
-    systematic components so additivity is preserved by construction."""
+    systematic components so additivity is preserved by construction. Its
+    `mc_stderr` holds each corrected component's Monte Carlo standard error
+    (twice the covariance's for cov2; zeros on the exact backend)."""
     if method not in ("homoskedastic_trace", "leave_out"):
         raise ConfigError(f"unknown correction method {method!r}")
-    _check_backend(backend)
+    _check_backend(backend, probes)
     plug = decompose_variance(panel, estimates)
     forms = [QuadraticForm(c, estimates.design) for c in ("var_alpha", "var_psi", "cov_alpha_psi")]
     results = _corrections(estimates, forms, method, backend, probes, seed, cg_tol)
@@ -601,6 +683,11 @@ def corrected_decomposition(
     var_alpha = results["var_alpha"].corrected
     var_psi = results["var_psi"].corrected
     cov2 = 2.0 * results["cov_alpha_psi"].corrected
+    mc_stderr = {
+        "var_alpha": results["var_alpha"].mc_stderr,
+        "var_psi": results["var_psi"].mc_stderr,
+        "cov2": 2.0 * results["cov_alpha_psi"].mc_stderr,
+    }
     components = {
         "var_alpha": var_alpha,
         "var_psi": var_psi,
@@ -615,7 +702,7 @@ def corrected_decomposition(
                 stacklevel=2,
             )
     flavor = "homoskedastic_corrected" if method == "homoskedastic_trace" else "leave_out_corrected"
-    return Decomposition.from_components(components, flavor, total=plug.total)
+    return Decomposition.from_components(components, flavor, total=plug.total, mc_stderr=mc_stderr)
 
 
 def correction_pairs(results) -> list[dict]:

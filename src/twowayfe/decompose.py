@@ -55,13 +55,17 @@ class Decomposition:
     flavor: str
     weighting: str = "person_year"
     corr_alpha_psi: float = float("nan")
+    # Monte Carlo standard error of each bias-corrected component (0.0 for an
+    # exact correction); empty for an uncorrected decomposition
+    mc_stderr: dict = field(default_factory=dict)
 
     @classmethod
     def from_components(cls, components: dict, flavor: str = "plug_in",
-                        total: float | None = None) -> "Decomposition":
+                        total: float | None = None,
+                        mc_stderr: dict | None = None) -> "Decomposition":
         """Build a decomposition from component values, adding each one's share
-        of `total` (default: the components' sum) and the implied
-        alpha-psi correlation."""
+        of `total` (default: the components' sum), the implied alpha-psi
+        correlation and the corrected components' Monte Carlo errors."""
         total = float(sum(components.values())) if total is None else total
         shares = {k: v / total for k, v in components.items()} if total else {}
         nan = float("nan")
@@ -73,6 +77,7 @@ class Decomposition:
             shares=shares,
             flavor=flavor,
             corr_alpha_psi=float(corr),
+            mc_stderr=dict(mc_stderr or {}),
         )
 
     def to_json_dict(self) -> dict:
@@ -84,6 +89,8 @@ class Decomposition:
             "shares": dict(self.shares),
             "corr_alpha_psi": self.corr_alpha_psi,
         }
+        if self.mc_stderr:
+            out["mc_stderr"] = dict(self.mc_stderr)
         out.update(self.components)
         return out
 

@@ -138,10 +138,13 @@ class Cells(Incidence):
         for col in columns:
             col = col[order]
             first[1:] |= col[1:] != col[:-1]
+        del col  # freed before the three n-length arrays below
         starts = np.flatnonzero(first)
         self.rep = order[starts]
-        self.inverse = np.empty(panel.n_obs, dtype=np.intp)
-        self.inverse[order] = np.cumsum(first) - 1
+        cell = np.cumsum(first, dtype=np.intp)
+        cell -= 1  # each sorted row's cell
+        self.inverse = np.empty_like(cell)
+        self.inverse[order] = cell
         self.counts = np.diff(starts, append=panel.n_obs).astype(np.float64)
         self.size = starts.size
         super().__init__(
@@ -150,11 +153,8 @@ class Cells(Incidence):
         )
 
     def sums(self, v: np.ndarray) -> np.ndarray:
-        """Per-cell sums of an observation-space vector (n,), or of each row of
-        a (k, n) block as the columns of a (cells, k) array."""
-        if v.ndim == 1:
-            return np.bincount(self.inverse, v, self.size)
-        return np.stack([np.bincount(self.inverse, row, self.size) for row in v], axis=1)
+        """Per-cell sums of an observation-space vector (n,)."""
+        return np.bincount(self.inverse, v, self.size)
 
 
 class Design(Incidence):
@@ -239,56 +239,76 @@ class Design(Incidence):
         return V.T
 
     def solve_cg(self, b: np.ndarray, rtol=1e-12, maxiter=10000):
-        """S^{-1} b for b of shape (p,) or (p, k), by Jacobi-preconditioned
-        conjugate gradient on the assembled Schur complement.
+        """S^{-1} b for b of shape (p,) or (p, k): the worker block eliminated,
+        the reduced right-hand sides t solved by `solve_schur`, the worker
+        block back-substituted. Column c stops once ||r_c|| <= rtol * ||t_c||.
+        Returns (solution, iterations of the slowest column). Raises
+        NumericalError if a column has not reached `rtol` within `maxiter`
+        iterations.
+        """
+        b_a, t = self._reduce_rhs(b)
+        y, iters = self.solve_schur(t, rtol, maxiter)
+        return self._back_substitute(b_a, y), iters
+
+    def solve_schur(self, t: np.ndarray, rtol=1e-12, maxiter=10000):
+        """Schur^{-1} t for t of shape (m,) or (m, k), by Jacobi-preconditioned
+        conjugate gradient; returns (solution, iterations of the slowest
+        column).
 
         The k columns run k independent CG recurrences side by side (batched,
         not block-Krylov), so each column's result is that of a solve on its
-        own; column c stops once ||r_c|| <= rtol * ||t_c|| for its reduced
-        right-hand side t_c. Cost is O(iterations * nnz(Schur) * k). Returns
-        (solution, iterations of the slowest column). Raises NumericalError
-        if a column has not reached `rtol` within `maxiter` iterations.
+        own; column c stops once ||r_c|| <= rtol * ||t_c||. The columns still
+        iterating are kept side by side and updated in place, in preallocated
+        buffers; a column is written to the solution when it stops. Cost is
+        O(iterations * nnz(Schur) * k).
         """
-        b_a, t = self._reduce_rhs(b)
-        m = self.F - 1 + self.K
+        m = t.shape[0]
+        y = np.zeros(t.shape)
         if m == 0:  # single firm, no covariates: nothing to iterate on
-            return self._back_substitute(b_a, t), 0
+            return y, 0
         schur, diag = self.schur, self.schur_diag()[:, None]
-        t = t.reshape(m, -1)
-        y = np.zeros_like(t)
-        t_norm = np.linalg.norm(t, axis=0)
+        solved = y.reshape(m, -1)
+        r = t.reshape(m, -1).copy()  # residuals of the live columns
+        t_norm = np.linalg.norm(r, axis=0)
         stop = rtol * t_norm
-        live = np.arange(t.shape[1])  # columns still iterating
-        r, p, rho_prev = t.copy(), None, None
+        live = np.arange(r.shape[1])  # columns still iterating
+        x = np.zeros_like(r)  # their iterates
+        buffers = (np.empty(r.size), np.empty(r.size))
+        z, sq = (buf.reshape(r.shape) for buf in buffers)  # r / diag; r * r, then alpha * p
+        p = rho_prev = None
         iters = 0
         while True:
-            going = ~(np.linalg.norm(r, axis=0) <= stop[live])  # a NaN keeps going
-            if not going.all():
-                live, r = live[going], r[:, going]
+            # each column's 2-norm, formed as np.linalg.norm(r, axis=0) forms it
+            going = ~(np.sqrt(np.add.reduce(np.multiply(r, r, out=sq), axis=0)) <= stop[live])
+            if not going.all():  # a NaN keeps going
+                solved[:, live[~going]] = x[:, ~going]
+                live, r, x = live[going], r[:, going], x[:, going]
                 if p is not None:
                     p, rho_prev = p[:, going], rho_prev[going]
-            if live.size == 0:
-                break
+                if live.size == 0:
+                    break
+                z, sq = (buf[: r.size].reshape(r.shape) for buf in buffers)
             if iters == maxiter:
                 resid = np.linalg.norm(r, axis=0) / np.maximum(t_norm[live], 1e-300)
                 raise NumericalError(
                     f"conjugate gradient did not converge in {maxiter} iterations "
                     f"(relative residual {resid.max():.3e})"
                 )
-            z = r / diag
+            np.divide(r, diag, out=z)
             rho = np.einsum("ij,ij->j", r, z)
             if p is None:
-                p = z
+                p = z.copy()
             else:
                 p *= rho / rho_prev
                 p += z
             q = schur @ p
             alpha = rho / np.einsum("ij,ij->j", p, q)
-            y[:, live] += alpha * p
-            r -= alpha * q
+            x += np.multiply(p, alpha, out=sq)
+            q *= alpha
+            r -= q
             rho_prev = rho
             iters += 1
-        return self._back_substitute(b_a, y if b.ndim > 1 else y[:, 0]), iters
+        return y, iters
 
     def stack_estimates(self, alpha: np.ndarray, psi: np.ndarray, beta: np.ndarray) -> np.ndarray:
         """Re-express mean-zero-normalized estimates in the reference-firm basis."""

@@ -353,28 +353,84 @@ class TestCorrectAndDiagnostics:
         assert lines[0] == "origin_quartile,destination_quartile,event_time,mean_log_wage,cell_count"
         assert len(lines) > 1
 
-    def test_schur_allocation_failure_is_numerical_error(self, tmp_path, capsys, monkeypatch):
-        import scipy.sparse
-
+    @staticmethod
+    def simulated_csv(tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"n_workers": 150, "n_firms": 10, "n_periods": 3,
                                    "movers_share": 0.5, "noise_sigma2": 0.05, "seed": 3}))
         sim_out = tmp_path / "sim"
         assert run_cli("simulate", "--config", str(cfg), "--out", str(sim_out)) == 0
+        return str(sim_out / "panel.csv")
+
+    def test_schur_allocation_failure_is_numerical_error(self, tmp_path, capsys, monkeypatch):
+        import scipy.sparse
+
+        panel = self.simulated_csv(tmp_path)
 
         def no_memory(self, *args, **kwargs):
             raise MemoryError
 
         monkeypatch.setattr(scipy.sparse.csr_matrix, "toarray", no_memory)
         code = run_cli(
-            "correct", "--panel", str(sim_out / "panel.csv"), "--backend", "exact",
-            "--out", str(tmp_path / "c"),
+            "correct", "--panel", panel, "--backend", "exact", "--out", str(tmp_path / "c"),
         )
         assert code == 4
         err = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
         assert err["error"]["kind"] == "numerical"
         assert "Schur matrix" in err["error"]["message"]
         assert "backend='stochastic'" in err["error"]["message"]
+
+    @pytest.mark.parametrize("correction", ("homoskedastic_trace", "leave_out"))
+    @pytest.mark.parametrize("probes", (0, 1, -3))
+    def test_probe_count_below_two_is_config_error(self, tmp_path, capsys, correction, probes):
+        panel = self.simulated_csv(tmp_path)
+        out = tmp_path / "c"
+        code = run_cli(
+            "correct", "--panel", panel, "--correction", correction, "--backend", "stochastic",
+            "--probes", str(probes), "--out", str(out),
+        )
+        assert code == cli.EXIT_CONFIG
+        err = json.loads(capsys.readouterr().out.strip().splitlines()[-1])["error"]
+        assert err["kind"] == "config"
+        assert f"probes={probes}" in err["message"] and "at least 2 probes" in err["message"]
+        assert not (out / f"corrected_{correction}.json").exists()
+
+    @pytest.mark.parametrize("correction", ("homoskedastic_trace", "leave_out"))
+    def test_mc_stderr_per_corrected_component(self, tmp_path, monkeypatch, correction):
+        """Stochastic: each corrected component's Monte Carlo error, the one of
+        the library's single-form correction on the same fit (twice the
+        covariance's for cov2); exact: zeros. The plug-in has none."""
+        from twowayfe import correct as correct_module
+
+        fits = []
+        original = correct_module.corrected_decomposition
+
+        def keep_fit(panel_, est, *args, **kwargs):
+            fits.append(est)
+            return original(panel_, est, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "corrected_decomposition", keep_fit)
+        panel = self.simulated_csv(tmp_path)
+        errors = {}
+        for backend in ("stochastic", "exact"):
+            out = tmp_path / backend
+            assert run_cli(
+                "correct", "--panel", panel, "--correction", correction, "--backend", backend,
+                "--probes", "30", "--seed", "4", "--out", str(out),
+            ) == 0
+            errors[backend] = read_json(out / f"corrected_{correction}.json")["mc_stderr"]
+            assert "mc_stderr" not in read_json(out / "plug_in.json")
+        assert errors["exact"] == {"var_alpha": 0.0, "var_psi": 0.0, "cov2": 0.0}
+        stochastic = errors["stochastic"]
+        assert set(stochastic) == {"var_alpha", "var_psi", "cov2"}
+        assert all(0.0 < v < float("inf") for v in stochastic.values())
+        est = fits[0]
+        single = (correct_module.correct_homoskedastic if correction == "homoskedastic_trace"
+                  else correct_module.correct_leave_out)
+        for component, key, scale in (("var_alpha", "var_alpha", 1.0), ("var_psi", "var_psi", 1.0),
+                                      ("cov_alpha_psi", "cov2", 2.0)):
+            res = single(est.panel, est, component, backend="stochastic", probes=30, seed=4)
+            assert stochastic[key] == pytest.approx(scale * res.mc_stderr, rel=1e-12)
 
     def test_unknown_correction_is_config_error(self, tmp_path, exactfit_panel):
         panel_file = tmp_path / "p.csv"

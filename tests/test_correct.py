@@ -354,13 +354,13 @@ class TestCorrectedDecomposition:
     def test_unknown_backend_rejected_before_any_solve(self, exactfit_panel, monkeypatch):
         est = estimate(exactfit_panel)
         solves = []
-        solve_cg = Design.solve_cg
+        solve_schur = Design.solve_schur
 
-        def counted(self, b, *args, **kwargs):
-            solves.append(b.shape)
-            return solve_cg(self, b, *args, **kwargs)
+        def counted(self, t, *args, **kwargs):
+            solves.append(t.shape)
+            return solve_schur(self, t, *args, **kwargs)
 
-        monkeypatch.setattr(Design, "solve_cg", counted)
+        monkeypatch.setattr(Design, "solve_schur", counted)
         for method in ("homoskedastic_trace", "leave_out"):
             with pytest.raises(ConfigError, match="unknown backend 'mystery'"):
                 corrected_decomposition(exactfit_panel, est, method, backend="mystery")
@@ -498,6 +498,29 @@ def test_schur_allocation_failure_is_numerical_error(monkeypatch):
     assert "backend='stochastic'" in message
 
 
+def cell_word_probes(panel, draws, probes):
+    """`probes` Rademacher probes over observations, one at a time: per probe
+    and per distinct (worker, firm, covariate row) cell in sorted order,
+    ceil(T_c / 64) raw 64-bit words of the stream, whose low T_c bits are the
+    signs of the cell's T_c rows. Returns the probes and each row's cell."""
+    keys = np.column_stack([panel.worker_idx, panel.firm_idx, panel.covariates])
+    _, cell_of = np.unique(keys, axis=0, return_inverse=True)
+    cell_of = cell_of.ravel()
+    rows = np.bincount(cell_of)
+    words = -(-rows // 64)
+    first = np.concatenate([[0], np.cumsum(words)[:-1]])
+    z = []
+    for _ in range(probes):
+        raw = draws.bit_generator.random_raw(words.sum())
+        zr = np.empty(panel.n_obs)
+        for c in range(rows.size):
+            for j, o in enumerate(np.flatnonzero(cell_of == c)):
+                bit = (int(raw[first[c] + j // 64]) >> (j % 64)) & 1
+                zr[o] = 2.0 * bit - 1.0
+        z.append(zr)
+    return z, cell_of
+
+
 @pytest.mark.parametrize(
     "draw_width, batch_width, n_covariates",
     [(None, None, 0), (3, None, 0), (2, 5, 0), (3, None, 2)],
@@ -508,8 +531,10 @@ def test_probe_stream_matches_one_at_a_time_dense_oracle(
 ):
     """Probe z_r is the r-th draw of default_rng(seed), one probe at a time,
     whatever the widths of draws and of solve batches; estimates equal dense
-    evaluations on that stream. Without covariates the 90 rows share 44
-    cells, and a batch of 5 probes spans draws of 2, 2 and 1; with continuous
+    evaluations on that stream. The trace probes are drawn over parameters;
+    a leave-out probe's signs are the bits of each cell's raw 64-bit words
+    (`cell_word_probes`). Without covariates the 90 rows share 44 cells, and
+    a batch of 5 trace probes spans draws of 2, 2 and 1; with continuous
     covariates every row is its own cell."""
     rng = np.random.default_rng(13)
     panel = random_connected_panel(rng, n_workers=30, n_firms=6, n_covariates=n_covariates)
@@ -543,10 +568,12 @@ def test_probe_stream_matches_one_at_a_time_dense_oracle(
     Hl = C @ np.column_stack([D[:, :W], np.zeros((n, F - 1 + K))])
     Hr = C @ np.column_stack([np.zeros((n, W)), D[:, W : W + F - 1], np.zeros((n, K))])
     draws = np.random.default_rng(seed)
-    z = [draws.integers(0, 2, n) * 2.0 - 1.0 for _ in range(probes)]
+    z, cell_of = cell_word_probes(panel, draws, probes)
+    same_cell = (cell_of[:, None] == cell_of[None, :]) / np.bincount(cell_of)[cell_of]
     p_hat = np.mean([(P @ zr) ** 2 for zr in z], axis=0)
-    m_hat = np.mean([(zr - P @ zr) ** 2 for zr in z], axis=0)
-    z = [draws.integers(0, 2, n) * 2.0 - 1.0 for _ in range(probes)]
+    # M^ averaged over each cell's rows
+    m_hat = np.mean([same_cell @ (zr - P @ zr) ** 2 for zr in z], axis=0)
+    z, _ = cell_word_probes(panel, draws, probes)
     weights = np.mean([(D @ Sinv @ Hl.T @ zr) * (D @ Sinv @ Hr.T @ zr) for zr in z], axis=0) / n
     lev = p_hat / (p_hat + m_hat)
     assert np.abs(table.leverage - lev).max() <= 1e-8 * lev.max()
@@ -584,7 +611,8 @@ def test_stochastic_decomposition_components_equal_single_form_corrections(
     method, block_width, monkeypatch
 ):
     """The components of one stochastic decomposition share one probe stream:
-    each equals its single-form correction at the same seed and probes."""
+    each, and its Monte Carlo error, equals its single-form correction at the
+    same seed and probes."""
     panel, _, loo, est_panel, est = loo_estimated(seed=5)
     if block_width is not None:
         monkeypatch.setattr(correct_module, "PROBE_BLOCK_BYTES", 8 * est_panel.n_obs * block_width)
@@ -594,26 +622,28 @@ def test_stochastic_decomposition_components_equal_single_form_corrections(
     for component, key, scale in DECOMPOSED:
         single = correct_fn(est_panel, est, component, backend="stochastic", probes=probes, seed=seed)
         assert dec.components[key] == pytest.approx(scale * single.corrected, rel=1e-12, abs=0.0)
+        assert dec.mc_stderr[key] == pytest.approx(scale * single.mc_stderr, rel=1e-12, abs=0.0)
 
 
 @pytest.mark.parametrize("method, columns_per_probe", (("homoskedastic_trace", 1), ("leave_out", 3)))
 def test_stochastic_decomposition_solves_shared_columns(method, columns_per_probe, monkeypatch):
     """Homoskedastic: one S^{-1} z per probe serves the three forms. Leave-out:
     one leverage column plus one per distinct observation map (alpha, psi).
-    Each stage solves its probes in batches as wide as the budget allows for
-    cell-length columns (and parameter-length ones for the trace probes):
-    ceil(probes / batch) calls per stage."""
+    Every probe solve runs in the Schur space, the trace probes' through
+    `solve_cg`. Each stage solves its probes in batches as wide as the budget
+    allows for cell-length columns (and parameter-length ones for the trace
+    probes): ceil(probes / batch) calls per stage."""
     panel, _, loo, est_panel, est = loo_estimated(seed=5)
     budget = 8 * est_panel.n_obs * 3
     monkeypatch.setattr(correct_module, "PROBE_BLOCK_BYTES", budget)
     columns = []
-    solve_cg = Design.solve_cg
+    solve_schur = Design.solve_schur
 
-    def counted(self, b, *args, **kwargs):
-        columns.append(1 if b.ndim == 1 else b.shape[1])
-        return solve_cg(self, b, *args, **kwargs)
+    def counted(self, t, *args, **kwargs):
+        columns.append(1 if t.ndim == 1 else t.shape[1])
+        return solve_schur(self, t, *args, **kwargs)
 
-    monkeypatch.setattr(Design, "solve_cg", counted)
+    monkeypatch.setattr(Design, "solve_schur", counted)
     probes = 20
     corrected_decomposition(est_panel, est, method, "stochastic", probes=probes, seed=0)
     assert sum(columns) == columns_per_probe * probes
@@ -624,3 +654,74 @@ def test_stochastic_decomposition_solves_shared_columns(method, columns_per_prob
     else:  # the leverages, then the weight maps
         stages, batch = 2, budget // (8 * cells)
     assert len(columns) == stages * math.ceil(probes / batch)
+
+
+@pytest.mark.parametrize("probes", (0, 1, -3))
+def test_probe_count_below_two_is_config_error(probes, monkeypatch):
+    """Every stochastic entry point rejects the count before any solve: a
+    Monte Carlo error needs two probes. The exact backend ignores it."""
+    panel, _, loo, est_panel, est = loo_estimated(seed=5)
+    solves = []
+    monkeypatch.setattr(Design, "solve_schur", lambda self, t, *a, **k: solves.append(t))
+    form = quadratic_form(est, "var_psi")
+    calls = [
+        lambda: corrected_decomposition(est_panel, est, "leave_out", "stochastic", probes=probes),
+        lambda: corrected_decomposition(est_panel, est, "homoskedastic_trace", "stochastic",
+                                        probes=probes),
+        lambda: correct_leave_out(est_panel, est, "var_psi", "stochastic", probes=probes),
+        lambda: correct_homoskedastic(est_panel, est, "var_psi", "stochastic", probes=probes),
+        lambda: compute_leverages(est_panel, None, "stochastic", probes=probes),
+        lambda: hutchinson_trace_quadratic(form, probes, seed=0),
+    ]
+    for call in calls:
+        with pytest.raises(ConfigError, match=f"probes={probes}: .*at least 2 probes"):
+            call()
+    assert solves == []
+    monkeypatch.undo()
+    exact = corrected_decomposition(est_panel, est, "leave_out", "exact", probes=probes)
+    assert exact.flavor == "leave_out_corrected"
+
+
+def long_cell_panel():
+    """A connected panel in which worker "long" has one cell of 70 rows, so
+    its probe signs take two raw words, the second masked to 6 bits."""
+    from twowayfe import Panel
+
+    rng = np.random.default_rng(21)
+    base = random_connected_panel(rng, n_workers=20, n_firms=4)
+    firm = base.firm_ids[base.firm_idx[0]]
+    worker = [base.worker_ids[i] for i in base.worker_idx] + ["long"] * 70
+    return Panel(
+        worker=worker,
+        firm=[base.firm_ids[j] for j in base.firm_idx] + [firm] * 70,
+        period=np.concatenate([base.period, np.arange(1000, 1070)]),
+        log_wage=np.concatenate([base.log_wage, rng.normal(size=70)]),
+    )
+
+
+def test_cell_longer_than_one_word_draws_its_sums(monkeypatch):
+    """A cell of T_c = 70 rows: over many probes its sums have mean 0 and
+    variance T_c, with T_c's parity and |s_c| <= T_c, as the sums of T_c
+    independent signs do; leverages do not depend on the batch width."""
+    panel = long_cell_panel()
+    design = Design(panel)
+    cells = design.cells
+    long = int(np.flatnonzero(cells.counts == 70)[0])
+    probes = 4000
+    sums = np.hstack(list(correct_module._probe_sums(cells, probes, np.random.default_rng(3))))
+    assert sums.shape == (cells.size, probes)
+    rows = cells.counts[:, None]
+    assert np.all(np.abs(sums) <= rows) and np.all((sums - rows) % 2 == 0)
+    s = sums[long]
+    assert abs(s.mean()) < 4 * np.sqrt(70 / probes)
+    assert abs(s.var() / 70 - 1.0) < 5 * np.sqrt(2 / probes)
+
+    tables = []
+    for budget in (None, 8 * cells.size * 3):
+        if budget is not None:
+            monkeypatch.setattr(correct_module, "PROBE_BLOCK_BYTES", budget)
+        tables.append(compute_leverages(panel, backend="stochastic", probes=40, seed=2,
+                                        cg_tol=1e-12))
+    assert np.abs(tables[0].leverage - tables[1].leverage).max() <= 1e-10
+    np.testing.assert_allclose(tables[0].component_weight, tables[1].component_weight,
+                               rtol=0, atol=1e-10 * np.abs(tables[0].component_weight).max())
