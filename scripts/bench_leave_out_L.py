@@ -1,16 +1,18 @@
 #!/usr/bin/env python3
-"""Time the leave-out correction at criterion-13 scale (ROADMAP size L).
+"""Time a correction at criterion-13 scale (ROADMAP size L).
 
 Simulates the criterion-13 panel (100k workers, 10k firms, T=10, seed 99),
-extracts its leave-one-out connected set, fits it by conjugate gradient, and
-times one leave-out `corrected_decomposition` on that fit with the chosen
-backend (the exact (P_oo, B_oo) table included, or the stochastic backend at
-its default probes and seed). The result is stored under `--label` in a JSON
-file, by default `BENCH_<backend>_leave_out_L.json`, that keeps the runs of
-other labels, so one file can hold a run of the parent commit and one of a
-change:
+extracts the connected set that `--method` runs on in the CLI's `pipeline`
+(the leave-one-out set for leave_out, the default; the largest set for
+homoskedastic_trace), fits it by conjugate gradient, and times one
+`corrected_decomposition` on that fit with the chosen backend (exact, the
+exact leave-out (P_oo, B_oo) table included, or stochastic at its default
+probes and seed). The result is stored under `--label` in a JSON file, by
+default `BENCH_<backend>_<method>_L.json`, that keeps the runs of other
+labels, so one file can hold runs of the parent commit and of a change:
 
     python3 scripts/bench_leave_out_L.py --backend stochastic --label change
+    python3 scripts/bench_leave_out_L.py --backend exact --method homoskedastic_trace --label change
 
 The package is imported from `src/` of the checkout this script sits in, and
 BLAS is held at 2 threads, as in `perfbench/run.py`, whose source digest the
@@ -46,15 +48,19 @@ def _peak_rss_mb() -> float:
     return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0  # KiB on Linux
 
 
-def run(backend: str) -> dict:
+def run(backend: str, method: str) -> dict:
     panel, _ = tw.simulate_panel(tw.SimConfig(**CRITERION_13))
-    loo = tw.leave_one_out_connected_set(tw.build_graph(panel), panel)
-    loo_panel = tw.restrict_panel(panel, loo.workers, loo.firms)
-    est = tw.estimate(loo_panel, None, tw.SolverConfig(method="conjugate_gradient"))
+    graph = tw.build_graph(panel)
+    if method == "leave_out":
+        conn = tw.leave_one_out_connected_set(graph, panel)
+    else:
+        conn = tw.largest_connected_set(graph)
+    est_panel = tw.restrict_panel(panel, conn.workers, conn.firms)
+    est = tw.estimate(est_panel, None, tw.SolverConfig(method="conjugate_gradient"))
     setup_peak = _peak_rss_mb()
 
     t0 = time.perf_counter()
-    dec = tw.corrected_decomposition(loo_panel, est, "leave_out", backend=backend)
+    dec = tw.corrected_decomposition(est_panel, est, method, backend=backend)
     seconds = time.perf_counter() - t0
 
     design = est.design
@@ -62,22 +68,22 @@ def run(backend: str) -> dict:
         "seconds": round(seconds, 2),
         "peak_rss_mb": round(_peak_rss_mb(), 1),
         "setup_peak_rss_mb": round(setup_peak, 1),
-        "obs": loo_panel.n_obs,
-        "workers": loo_panel.n_workers,
-        "firms": loo_panel.n_firms,
+        "obs": est_panel.n_obs,
+        "workers": est_panel.n_workers,
+        "firms": est_panel.n_firms,
         "m": design.F - 1 + design.K,
     }
-    if backend == "exact":
+    if design.exact_table is not None:
         leverage = design.exact_table[0]
-        cells = np.unique(loo_panel.worker_idx * loo_panel.n_firms + loo_panel.firm_idx)
-        cells_per_worker = np.bincount(cells // loo_panel.n_firms, minlength=loo_panel.n_workers)
+        cells = np.unique(est_panel.worker_idx * est_panel.n_firms + est_panel.firm_idx)
+        cells_per_worker = np.bincount(cells // est_panel.n_firms, minlength=est_panel.n_workers)
         result.update(
             cells=int(cells.size),
-            mover_cells=int((cells_per_worker[cells // loo_panel.n_firms] > 1).sum()),
+            mover_cells=int((cells_per_worker[cells // est_panel.n_firms] > 1).sum()),
             leverage_sum_minus_rank=float(leverage.sum() - design.p),
             max_leverage=float(leverage.max()),
         )
-    else:
+    if backend == "stochastic":
         result.update(probes=tw.correct.DEFAULT_PROBES, seed=0)
     result["corrected"] = {k: float(v) for k, v in dec.components.items()}
     result["source_sha256"] = _source_digest()
@@ -87,19 +93,21 @@ def run(backend: str) -> dict:
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("--backend", required=True, choices=("exact", "stochastic"))
+    p.add_argument("--method", choices=("leave_out", "homoskedastic_trace"), default="leave_out")
     p.add_argument("--label", required=True, help="key of this run in the output file")
-    p.add_argument("--out", help="output file (default: BENCH_<backend>_leave_out_L.json)")
+    p.add_argument("--out", help="output file (default: BENCH_<backend>_<method>_L.json)")
     args = p.parse_args(argv)
-    out = args.out or os.path.join(ROOT, f"BENCH_{args.backend}_leave_out_L.json")
+    out = args.out or os.path.join(ROOT, f"BENCH_{args.backend}_{args.method}_L.json")
 
     record = {"runs": {}}
     if os.path.exists(out):
         with open(out, encoding="utf-8") as fh:
             record = json.load(fh)
-    result = run(args.backend)
+    result = run(args.backend, args.method)
+    where = "leave-one-out" if args.method == "leave_out" else "largest connected"
     record["benchmark"] = (
-        f"{args.backend} leave-out corrected_decomposition on the leave-one-out set of the "
-        "criterion-13 panel"
+        f"{args.backend} {args.method.replace('_', '-')} corrected_decomposition on the {where} "
+        "set of the criterion-13 panel"
     )
     record["panel"] = CRITERION_13
     record["runs"][args.label] = {

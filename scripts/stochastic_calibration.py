@@ -1,16 +1,20 @@
 #!/usr/bin/env python3
-"""Does the stochastic leave-out's `mc_stderr` cover its error?
+"""Does a stochastic correction's `mc_stderr` cover its error?
 
 For each of `--seeds` panels of the criterion-8 design (3000 workers, 300
 firms, T=2, size-skewed firms, size-coupled heteroskedastic noise; simulator
-seeds 0, 1, ...), fits the leave-one-out connected set by conjugate gradient
-and corrects var_alpha, var_psi and cov_alpha_psi by leave-out twice: once
-exactly and once in one stochastic call at `--probes` probes (probe seed =
-simulator seed). Per component it prints the share of seeds with
+seeds 0, 1, ...), fits a connected set by conjugate gradient and corrects
+var_alpha, var_psi and cov_alpha_psi by `--method` twice: once exactly and
+once in one stochastic call at `--probes` probes (probe seed = simulator
+seed). The leave-out correction (the default) runs on the leave-one-out
+connected set, the homoskedastic trace on the largest connected set, as the
+CLI's `pipeline` runs them. Per component it prints the share of seeds with
 |stochastic - exact| <= 2 mc_stderr and the mean and RMS of
 (stochastic - exact) / mc_stderr. A calibrated error gives about 95%, 0 and 1.
+The homoskedastic run also prints each component's median mc_stderr.
 
     python3 scripts/stochastic_calibration.py --seeds 30 --probes 100
+    python3 scripts/stochastic_calibration.py --method homoskedastic_trace
 
 The package is imported from `src/` of the checkout this script sits in.
 """
@@ -44,21 +48,28 @@ def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("--seeds", type=int, default=30)
     p.add_argument("--probes", type=int, default=100)
+    p.add_argument("--method", choices=("leave_out", "homoskedastic_trace"), default="leave_out")
     args = p.parse_args(argv)
 
     ratios = {c: [] for c in COMPONENTS}
+    stderrs = {c: [] for c in COMPONENTS}
     for seed in range(args.seeds):
         panel, _ = tw.simulate_panel(tw.SimConfig(seed=seed, **CRITERION_8))
-        loo = tw.leave_one_out_connected_set(tw.build_graph(panel), panel)
-        loo_panel = tw.restrict_panel(panel, loo.workers, loo.firms)
-        est = tw.estimate(loo_panel, None, tw.SolverConfig(method="conjugate_gradient"))
+        graph = tw.build_graph(panel)
+        if args.method == "leave_out":
+            conn = tw.leave_one_out_connected_set(graph, panel)
+        else:
+            conn = tw.largest_connected_set(graph)
+        est_panel = tw.restrict_panel(panel, conn.workers, conn.firms)
+        est = tw.estimate(est_panel, None, tw.SolverConfig(method="conjugate_gradient"))
         forms = [QuadraticForm(c, est.design) for c in COMPONENTS]
-        exact = _exact_corrections(est, forms, "leave_out")
+        exact = _exact_corrections(est, forms, args.method)
         stoch = _stochastic_corrections(
-            est, forms, "leave_out", args.probes, seed, DEFAULT_CG_TOL
+            est, forms, args.method, args.probes, seed, DEFAULT_CG_TOL
         )
         for c in COMPONENTS:
             ratios[c].append((stoch[c].corrected - exact[c].corrected) / stoch[c].mc_stderr)
+            stderrs[c].append(stoch[c].mc_stderr)
 
     print(f"{args.seeds} seeds of the criterion-8 design, {args.probes} probes")
     print(f"{'component':<16}{'|err| <= 2 se':>15}{'mean err/se':>13}{'RMS err/se':>12}")
@@ -66,6 +77,9 @@ def main(argv=None) -> int:
         r = np.array(r)
         print(f"{c:<16}{np.mean(np.abs(r) <= 2.0):>14.0%} {r.mean():>12.2f}"
               f"{np.sqrt(np.mean(r * r)):>12.2f}")
+    if args.method == "homoskedastic_trace":
+        print("median mc_stderr: " + ", ".join(
+            f"{c} {np.median(stderrs[c]):.2g}" for c in COMPONENTS))
     return 0
 
 

@@ -10,6 +10,7 @@ seeds, and outputs. Exit codes: 0 success, 2 config error, 3 data error,
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import os
@@ -460,6 +461,7 @@ HANDLERS = {
 }
 
 
+@functools.cache  # built once per process: parse_args leaves the parser unchanged
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="twowayfe",

@@ -19,10 +19,10 @@ leave_out : allows unrestricted per-observation variances. The bias equals
     leave-one-out connected estimation set.
 
 Since sum_o x_o x_o' = S, the homoskedastic trace is also sum_o B_oo, so
-both corrections read one per-observation (P_oo, B_oo) table.
+both exact corrections read one per-observation (P_oo, B_oo) table.
 
 Each correction runs on an exact backend or a stochastic one (Rademacher
-probes, conjugate-gradient solves) for scale, on the fit's own Design
+probes, Schur-space solves) for scale, on the fit's own Design
 (`Estimates.design`). The exact backend builds one table per Design, for all
 components, and keeps it there for every exact correction of that fit. Per
 distinct (worker, firm, covariate row) cell it forms y = V t, V the explicit
@@ -33,30 +33,32 @@ m x m array while the table is built, plus chunk * m per block of cells, then
 5 floats per observation kept. Quadratic-form matrices are never
 materialized; components act through centered selector maps.
 
-The stochastic backend works on the same cells (`Design.cells`). A
-leave-out probe z over observations exists only as its per-cell sums s_c:
-the T_c signs of a cell are the bits of ceil(T_c / 64) raw 64-bit words of
-the stream, so s_c = 2 popcount - T_c, O(cells) to draw. D'z, P z, the alpha
-and psi weight maps and the JLA M^ (averaged over each cell's rows) read
-only s, and every solve runs in the m = (F-1+K)-dimensional Schur space
-through T (`_schur_rows`), the cells' reduced rows: O(cells + nnz(T)) per
-probe outside CG, with no pass over observations (sigma2_o is reduced to
-per-cell sums once per call). The homoskedastic trace probes are Rademacher
-over parameters, O(p) to draw, their centered block values formed once per
-cell. Per-cell values are weighted by the cell's person-years (trace forms)
-or by its sum of sigma2_o (leave-out maps).
+The stochastic backend works in the same Schur space. The homoskedastic
+trace probes are Rademacher over the m Schur coordinates, O(m) to draw: one
+solve u = V z per probe, each form's value, centring included, read from u,
+z and G'G u (`_trace_probes`). The leave-out probes work on the distinct
+cells (`Design.cells`). A leave-out probe z over observations exists only as
+its per-cell sums s_c: the T_c signs of a cell are the bits of
+ceil(T_c / 64) raw 64-bit words of the stream, so s_c = 2 popcount - T_c,
+O(cells) to draw. D'z, P z, the alpha and psi weight maps and the JLA M^
+(averaged over each cell's rows) read only s, and every solve runs in the
+Schur space through T (`_schur_rows`), the cells' reduced rows:
+O(cells + nnz(T)) per probe outside the solve, with no pass over
+observations (sigma2_o is reduced to per-cell sums once per call). Per-cell
+values are weighted by the cell's sum of sigma2_o.
 Each stage solves its probes in batches of b = PROBE_BLOCK_BYTES // (8 cells)
-columns (8 max(p, cells) for the parameter-space trace probes), one batched
-CG run per batch against the Schur complement, which the Design assembles
-once as a sparse m x m matrix: O(iterations * nnz(Schur) * b) per batch.
-The trace probes are drawn in sub-blocks set by the same byte budget over
-n-length rows, so temporaries stay within a few budgets. Probes follow the
-seeded stream in one-at-a-time order, so results do not depend on either
-width.
+columns (8m for the trace probes). Every batch of one call runs the same
+solver, chosen once per call (`_schur_solver`): when the dense Cholesky
+factor of the Schur complement is no larger than one probe temporary
+(8 m^2 <= PROBE_BLOCK_BYTES), it is formed once and each batch is one
+cho_solve, O(m^2 b); otherwise each batch is one batched CG run against the
+Schur complement, which the Design assembles once as a sparse m x m matrix,
+O(iterations * nnz(Schur) * b). Probes follow the seeded stream in
+one-at-a-time order, so results do not depend on the width.
 Leave-out leverages are JLA-normalized, P^/(P^ + M^), so they stay below one.
 All components of one call share one probe stream, default_rng(seed): at P
-probes a homoskedastic decomposition solves P columns (one S^{-1} z serves
-every form), a leave-out one P * (1 + distinct observation maps) = 3P (one
+probes a homoskedastic decomposition solves P columns (one V z serves every
+form), a leave-out one P * (1 + distinct observation maps) = 3P (one
 leverage estimate, then the alpha and psi maps), whatever the number of
 components. The components' Monte Carlo errors are therefore correlated;
 each mc_stderr is still that of its own component.
@@ -68,6 +70,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 import scipy.sparse as sp
 
 from .decompose import Decomposition, decompose_variance
@@ -90,8 +93,8 @@ LEVERAGE_CAP = 1.0 - 1e-10
 DEFAULT_PROBES = 100
 DEFAULT_CG_TOL = 1e-8
 # Bytes of one float64 temporary in the probe loops: sets the number of
-# probes solved together (cell-length columns) and drawn together
-# (observation-length rows).
+# probes solved together (cell-length or Schur-length columns) and whether
+# the probe solves use a dense Schur factor (8 m^2 bytes at most).
 PROBE_BLOCK_BYTES = 1 << 19
 
 
@@ -217,52 +220,71 @@ def _stderr(vals: np.ndarray) -> float:
     return float(vals.std(ddof=1) / np.sqrt(vals.size))
 
 
-def _centered_cell_values(design: Design, phi: np.ndarray, block: str) -> np.ndarray:
-    """Block values of the columns of phi per cell, centered by their
-    person-year mean."""
-    cells = design.cells
-    v = cells.obs_values(phi, block)
-    v -= cells.counts @ v / design.n
-    return v
+def _schur_solver(design: Design, cg_tol: float):
+    """t -> Schur^{-1} t for t of shape (m, k), the solver of every probe batch
+    of one correction call, chosen once. When the dense Cholesky factor is no
+    larger than one probe temporary (8 m^2 <= PROBE_BLOCK_BYTES), it is formed
+    once (`Design.schur_cholesky`) and each batch is one cho_solve: the factor
+    stays in cache, so its cost does not depend on the batch width. Larger
+    Schur complements keep batched CG (`Design.solve_schur`) at `cg_tol`. The
+    factor lives as long as the returned solver."""
+    m = design.F - 1 + design.K
+    if 0 < 8 * m * m <= PROBE_BLOCK_BYTES:
+        factor = (design.schur_cholesky(), True)
+        return lambda t: scipy.linalg.cho_solve(factor, t, check_finite=False)
+    return lambda t: design.solve_schur(t, rtol=cg_tol)[0]
 
 
-def _trace_probes(forms: list[QuadraticForm], probes: int, rng, cg_tol: float) -> dict:
-    """Per-probe z'A S^{-1} z of every form, z Rademacher over parameters: one
-    batched CG solve u = S^{-1} z per batch serves all forms. With H_b z the
-    centered observation values of block b, z'Au = (H_l z).(H_r u) (averaged
-    with (H_r z).(H_l u) when l != r) over n; each block's values of z and u
-    are formed once per cell and weighted by the cell's person-years."""
+def _trace_probes(forms: list[QuadraticForm], probes: int, rng, solve) -> dict:
+    """Per-probe estimates of trace(A S^{-1}) of every form, z Rademacher over
+    the m Schur coordinates: one solve u = V z per probe (V = Schur^{-1},
+    `solve` from `_schur_solver`) serves all forms.
+
+    S^{-1} has the worker block D^{-1} + D^{-1} C V C' D^{-1} and the cross
+    block -D^{-1} C V (C = contact, D = diag(d_w)). With s = G'1, n_F its firm
+    coordinates, P the projection on the firm coordinates and
+    C' D^{-1} C = G'G - Schur, z'V C'D^{-1}C z = u'G'G z - m and
+    z'V C'D^{-1}C P z = u'G'G P z - z'P z, so each probe's value of
+    n trace(A S^{-1}) is, centring included,
+        var_alpha: W - 1 - m + u'G'G z - (u's)(s'z)/n,
+        var_psi:   sum over firms of n_F u z - (n_F'u)(n_F'z)/n,
+        cov:       F - 1 - (G'G u)_P'z_P + (u's)(n_F'z)/n,
+    and var_alpha_plus_psi their sum with the covariance twice."""
     design = forms[0].design
-    counts, n = design.cells.counts, design.n
-    blocks = list(dict.fromkeys(b for f in forms for b in f.blocks))
+    n, F1 = design.n, design.F - 1
+    m = F1 + design.K
+    s = np.asarray(design.g_mat.sum(axis=0)).ravel()
+    n_f = s[:F1]
     vals = {f.component: [] for f in forms}
-    for batch in _spans(probes, max(design.p, design.cells.size)):
-        z = np.empty((design.p, batch.stop - batch.start))
-        for cols in _spans(z.shape[1], n):
-            z[:, cols] = _rademacher(rng, cols, design.p).T
-        u, _ = design.solve_cg(z, rtol=cg_tol)
-        hz = {b: _centered_cell_values(design, z, b) for b in blocks}
-        del z
-        hu = {b: _centered_cell_values(design, u, b) for b in blocks}
-        del u
+    for batch in _spans(probes, max(m, 1)):
+        z = _rademacher(rng, batch, m).T.astype(np.float64, order="C")
+        u = solve(z)
+        gu = design.gtg @ u  # G'G u, so u'G'G z = (G'G u)'z, G'G being symmetric
+        u_s, s_z = s @ u, s @ z
+        f_z = n_f @ z[:F1]
+        value = {
+            "var_alpha": design.W - 1 - m + np.einsum("ij,ij->j", gu, z) - u_s * s_z / n,
+            "var_psi": (np.einsum("ij,ij,i->j", u[:F1], z[:F1], n_f)
+                        - (n_f @ u[:F1]) * f_z / n),
+            "cov_alpha_psi": F1 - np.einsum("ij,ij->j", gu[:F1], z[:F1]) + u_s * f_z / n,
+        }
+        value["var_alpha_plus_psi"] = (
+            value["var_alpha"] + value["var_psi"] + 2.0 * value["cov_alpha_psi"]
+        )
         for f in forms:
-            left, right = f.blocks
-            v = np.einsum("ij,ij,i->j", hz[left], hu[right], counts)
-            if left != right:
-                v = (v + np.einsum("ij,ij,i->j", hz[right], hu[left], counts)) / 2.0
-            vals[f.component].append(v / n)
-        del hz, hu  # before the next draw
+            vals[f.component].append(value[f.component] / n)
     return {c: np.concatenate(v) for c, v in vals.items()}
 
 
 def hutchinson_trace_quadratic(
     form: QuadraticForm, probes: int, seed: int, cg_tol: float = DEFAULT_CG_TOL
 ) -> tuple[float, float]:
-    """trace(A S^{-1}) by Rademacher probing: mean over probes of z'A S^{-1} z,
-    the solves batched by conjugate gradient. Returns (estimate, MC standard
+    """trace(A S^{-1}) by Rademacher probing in the Schur space: the mean of
+    the per-probe values of `_trace_probes`. Returns (estimate, MC standard
     error)."""
     _check_probes(probes)
-    vals = _trace_probes([form], probes, np.random.default_rng(seed), cg_tol)[form.component]
+    solve = _schur_solver(form.design, cg_tol)
+    vals = _trace_probes([form], probes, np.random.default_rng(seed), solve)[form.component]
     return float(vals.mean()), _stderr(vals)
 
 
@@ -372,7 +394,7 @@ def _probe_sums(cells: Cells, probes: int, rng):
 
 
 def _stochastic_leverages(design: Design, T: sp.csr_matrix, probes: int, rng,
-                          cg_tol: float) -> np.ndarray:
+                          solve) -> np.ndarray:
     """JLA leverage estimates P^/(P^ + M^) per cell, which lie in (0, 1].
 
     With S w_r = D' z_r, z_r Rademacher over observations, D w_r = P z_r and
@@ -393,8 +415,7 @@ def _stochastic_leverages(design: Design, T: sp.csr_matrix, probes: int, rng,
     p_hat = np.zeros(cells.size)
     m_hat = np.zeros(cells.size)
     for sums in _probe_sums(cells, probes, rng):
-        y, _ = design.solve_schur(T.T @ sums, rtol=cg_tol)
-        pz = T @ y
+        pz = T @ solve(T.T @ sums)
         pz += ((cells.worker_mat.T @ sums) / d)[cells.worker_idx]
         p_hat += np.einsum("ij,ij->i", pz, pz)
         sums /= cells.counts[:, None]  # each probe's mean over the cell's rows
@@ -405,11 +426,11 @@ def _stochastic_leverages(design: Design, T: sp.csr_matrix, probes: int, rng,
     return np.divide(p_hat, m_hat, out=m_hat)
 
 
-def _cell_maps(forms: list[QuadraticForm], T: sp.csr_matrix, probes: int, rng, cg_tol: float):
+def _cell_maps(forms: list[QuadraticForm], T: sp.csr_matrix, probes: int, rng, solve):
     """Per batch of Rademacher probes z over observations, {b: D S^{-1} H_b' z}
     per cell (cells x batch) for each distinct observation map b of the forms
     (H_b its centered selector), the maps' reduced right-hand sides solved
-    together in one batched Schur-space CG run.
+    together in one Schur-space solve.
 
     H_b' z is block b's incidence applied to centered z: W's~ on the workers
     for an alpha map, F's~ on the non-reference firms for a psi map, s~ the
@@ -433,7 +454,7 @@ def _cell_maps(forms: list[QuadraticForm], T: sp.csr_matrix, probes: int, rng, c
                 rhs[:, i * k : (i + 1) * k] -= alpha_rhs
             if b in ("psi", "alpha_plus_psi"):
                 rhs[:F1, i * k : (i + 1) * k] += psi_rhs
-        y, _ = design.solve_schur(rhs, rtol=cg_tol)
+        y = solve(rhs)
         del rhs
         values = T @ y
         del y
@@ -478,12 +499,13 @@ def compute_leverages(
         )
     rng = np.random.default_rng(seed)
     T = _schur_rows(design)
-    lev = _stochastic_leverages(design, T, probes, rng, cg_tol)
+    solve = _schur_solver(design, cg_tol)
+    lev = _stochastic_leverages(design, T, probes, rng, solve)
     # per probe, the weight product averages to n * B_oo (Rademacher coordinates
     # are independent)
     left, right = form.blocks
     bw = np.zeros(design.cells.size)
-    for maps in _cell_maps([form], T, probes, rng, cg_tol):
+    for maps in _cell_maps([form], T, probes, rng, solve):
         bw += np.einsum("ij,ij->i", maps[left], maps[right])
     bw = bw[design.cells.inverse] / (probes * design.n)
     return LeverageTable(
@@ -532,19 +554,19 @@ def _exact_corrections(estimates: Estimates, forms: list[QuadraticForm], method:
 
 
 def _leave_out_probes(estimates: Estimates, forms: list[QuadraticForm], probes: int,
-                      rng, cg_tol: float) -> dict:
+                      rng, solve) -> dict:
     """Per-probe z'Hl S^{-1} D' diag(sigma2_o) D S^{-1} Hr' z / n of every form,
     whose mean over probes is sum_o B_oo sigma2_o, sigma2_o the leave-one-out
     variances from one JLA leverage estimate: 1 + b solved columns per probe
     for the forms' b distinct observation maps."""
     design = forms[0].design
     T = _schur_rows(design)
-    lev = _stochastic_leverages(design, T, probes, rng, cg_tol)
+    lev = _stochastic_leverages(design, T, probes, rng, solve)
     _require_below_one(lev, probes)
     # a cell's rows share its leverage
     sigma2_cell = design.cells.sums(design.panel.log_wage * estimates.residuals) / (1.0 - lev)
     vals = {f.component: [] for f in forms}
-    for maps in _cell_maps(forms, T, probes, rng, cg_tol):
+    for maps in _cell_maps(forms, T, probes, rng, solve):
         for f in forms:
             left, right = f.blocks
             v = np.einsum("ij,ij,i->j", maps[left], maps[right], sigma2_cell)
@@ -557,19 +579,21 @@ def _stochastic_corrections(estimates: Estimates, forms: list[QuadraticForm], me
     """Either stochastic correction for several forms from one probe stream of
     default_rng(seed): every form reads the same probes, so a decomposition
     pays for its solves once, and each form's mc_stderr is the standard error
-    of its own per-probe values (the forms' errors are correlated)."""
+    of its own per-probe values (the forms' errors are correlated). Every
+    solve of the call runs one solver (`_schur_solver`)."""
     # the plug-in values first: their observation-length temporaries then do
     # not stack on the cells' arrays that the probe loops keep
     phi = _stacked(forms[0].design, estimates)
     plug_in = {f.component: f.quad(phi) for f in forms}
     del phi
     rng = np.random.default_rng(seed)
+    solve = _schur_solver(forms[0].design, cg_tol)
     if method == "homoskedastic_trace":
         scale = _sigma2(estimates)
-        vals = _trace_probes(forms, probes, rng, cg_tol)
+        vals = _trace_probes(forms, probes, rng, solve)
     else:
         scale = 1.0  # the leave-out values already carry each sigma2_o
-        vals = _leave_out_probes(estimates, forms, probes, rng, cg_tol)
+        vals = _leave_out_probes(estimates, forms, probes, rng, solve)
     return {
         f.component: _result(
             f, plug_in[f.component], scale * float(vals[f.component].mean()), method, "stochastic",

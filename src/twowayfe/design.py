@@ -12,8 +12,10 @@ of length p = W + F - 1 + K. All solvers work on the normal equations
 S phi = D' y with S = D'D, exploiting that the worker block of S is diagonal:
 eliminating it leaves the Schur complement G'G - C' D_w^{-1} C of dimension
 m = F - 1 + K (G the firm/covariate block of D, C = contact). It is assembled
-once as a sparse m x m matrix: CG iterates on it directly, and the exact
-backend reads its dense inverse from `schur_inverse`, built on each call.
+once as a sparse m x m matrix: CG iterates on it directly, the exact
+backend reads its dense inverse from `schur_inverse`, built on each call,
+and the stochastic backend solves against its dense Cholesky factor
+(`schur_cholesky`) when m is small.
 
 `Incidence` holds the rows of D for a set of (worker, firm, covariate row)
 tuples and D's products with them. A Design's rows are its observations;
@@ -215,21 +217,30 @@ class Design(Incidence):
         y_a = (b_a - self.contact @ y_g) / self.d_worker[:, None]
         return np.vstack([y_a, y_g])
 
-    def schur_inverse(self) -> np.ndarray:
-        """V, the inverse of the dense m x m Schur complement, C-ordered (V is
-        symmetric). cho_factor and LAPACK dpotri overwrite one Fortran-ordered
-        array in place; dpotri's lower triangle is mirrored a block of rows at
-        a time. A NumericalError names m, the 8 m^2 bytes and the stochastic
+    def schur_cholesky(self) -> np.ndarray:
+        """The lower Cholesky factor of the dense m x m Schur complement, for
+        scipy.linalg.cho_solve(..., lower=True): cho_factor overwrites one
+        Fortran-ordered array in place (its upper triangle keeps the Schur
+        complement's entries, which cho_solve does not read). The factor is
+        not kept. A NumericalError names m, the 8 m^2 bytes and the stochastic
         backend if that array cannot be allocated."""
         m = self.F - 1 + self.K
         try:
-            V = self.schur.toarray(order="F")
+            L = self.schur.toarray(order="F")
         except MemoryError:
             raise NumericalError(
                 f"the exact backend needs a dense {m} x {m} Schur matrix ({8 * m * m} "
                 f"bytes), which could not be allocated; use backend='stochastic'"
             ) from None
-        V = scipy.linalg.cho_factor(V, lower=True, overwrite_a=True, check_finite=False)[0]
+        return scipy.linalg.cho_factor(L, lower=True, overwrite_a=True, check_finite=False)[0]
+
+    def schur_inverse(self) -> np.ndarray:
+        """V, the inverse of the dense m x m Schur complement, C-ordered (V is
+        symmetric): LAPACK dpotri overwrites the `schur_cholesky` factor in
+        place (whose NumericalError a failed allocation raises), and its lower
+        triangle is mirrored a block of rows at a time."""
+        m = self.F - 1 + self.K
+        V = self.schur_cholesky()
         V, info = scipy.linalg.lapack.dpotri(V, lower=1, overwrite_c=1)
         if info:
             raise NumericalError(f"LAPACK dpotri failed on the Schur factor (info={info})")

@@ -521,44 +521,83 @@ def cell_word_probes(panel, draws, probes):
     return z, cell_of
 
 
+COMPONENTS = ("var_alpha", "var_psi", "cov_alpha_psi", "var_alpha_plus_psi")
+
+
+def dense_trace_probe_values(panel, z):
+    """n times each form's Schur-space probe value for an m-length probe z,
+    from dense pieces alone: S^{-1} = diag(D_w^{-1}, 0) + R V R' with
+    R = (-D_w^{-1} C; I) (D_w the worker block of S, C its worker x firm/
+    covariate block, V the lower right block of S^{-1}), so for N = Hr'Hl
+    (H the centered selectors of a form's blocks) trace(N S^{-1}) is
+    tr(N_ww D_w^{-1}) plus the mean over probes of z'R'N R V z. The
+    covariance takes N = H_psi'H_alpha; var_alpha_plus_psi is the sum of the
+    variances and twice the covariance."""
+    n, W = panel.n_obs, panel.n_workers
+    D, Sinv, _ = dense_pieces(panel)
+    m = D.shape[1] - W
+    d_w = D[:, :W].sum(axis=0)
+    R = np.vstack([-(D[:, :W].T @ D[:, W:]) / d_w[:, None], np.eye(m)])
+    u = Sinv[W:, W:] @ z
+    F1 = panel.n_firms - 1
+    C = np.eye(n) - 1.0 / n
+    H = {
+        "alpha": C @ np.column_stack([D[:, :W], np.zeros((n, m))]),
+        "psi": C @ np.column_stack([np.zeros((n, W)), D[:, W : W + F1], np.zeros((n, m - F1))]),
+    }
+    values = {}
+    for component, left, right in (("var_alpha", "alpha", "alpha"), ("var_psi", "psi", "psi"),
+                                   ("cov_alpha_psi", "alpha", "psi")):
+        N = H[right].T @ H[left]
+        values[component] = np.trace(N[:W, :W] / d_w) + z @ R.T @ N @ R @ u
+    values["var_alpha_plus_psi"] = (
+        values["var_alpha"] + values["var_psi"] + 2.0 * values["cov_alpha_psi"]
+    )
+    return values
+
+
 @pytest.mark.parametrize(
-    "draw_width, batch_width, n_covariates",
-    [(None, None, 0), (3, None, 0), (2, 5, 0), (3, None, 2)],
+    "trace_width, cell_width, n_covariates",
+    [(None, None, 0), (3, 6, 0), (2, 5, 0), (3, 3, 2)],
     ids=["None", "3", "batch_spans_draws", "covariates"],
 )
 def test_probe_stream_matches_one_at_a_time_dense_oracle(
-    draw_width, batch_width, n_covariates, monkeypatch
+    trace_width, cell_width, n_covariates, monkeypatch
 ):
     """Probe z_r is the r-th draw of default_rng(seed), one probe at a time,
-    whatever the widths of draws and of solve batches; estimates equal dense
-    evaluations on that stream. The trace probes are drawn over parameters;
-    a leave-out probe's signs are the bits of each cell's raw 64-bit words
-    (`cell_word_probes`). Without covariates the 90 rows share 44 cells, and
-    a batch of 5 trace probes spans draws of 2, 2 and 1; with continuous
-    covariates every row is its own cell."""
+    whatever the widths of solve batches; estimates equal dense evaluations on
+    that stream. The trace probes are drawn over the m Schur coordinates, in
+    batches of `trace_width` (7 probes: 3, 3, 1 or 2, 2, 2, 1), by CG, as
+    those budgets lie below 8 m^2; the default budget solves them on the
+    dense factor. A leave-out probe's signs are the bits of each cell's raw
+    64-bit words (`cell_word_probes`), solved `cell_width` at a time. Without
+    covariates the 90 rows share 44 cells; with continuous covariates every
+    row is its own cell."""
     rng = np.random.default_rng(13)
     panel = random_connected_panel(rng, n_workers=30, n_firms=6, n_covariates=n_covariates)
     n, W, F, K = panel.n_obs, panel.n_workers, panel.n_firms, n_covariates
+    m = F - 1 + K
     keys = np.column_stack([panel.worker_idx, panel.firm_idx, panel.covariates])
     cells = np.unique(keys, axis=0).shape[0]
-    if draw_width is not None:
-        budget = 8 * max(n * draw_width, cells * (batch_width or 0))
-        monkeypatch.setattr(correct_module, "PROBE_BLOCK_BYTES", budget)
-        assert budget // (8 * n) == draw_width
-        if batch_width is not None:
-            assert budget // (8 * cells) == batch_width
-            assert budget // (8 * (W + F - 1 + K)) >= batch_width  # the trace probes' batch too
+    if trace_width is not None:
+        assert trace_width < m  # so the budget is below 8 m^2
+        monkeypatch.setattr(correct_module, "PROBE_BLOCK_BYTES", 8 * m * trace_width)
     D, Sinv, A_of = dense_pieces(panel)
     seed, probes = 5, 7
 
-    form = QuadraticForm("cov_alpha_psi", Design(panel))
-    A = A_of(*form.blocks)
+    design = Design(panel)
     draws = np.random.default_rng(seed)
-    z = [draws.integers(0, 2, D.shape[1]) * 2.0 - 1.0 for _ in range(probes)]
-    expected = np.mean([zr @ A @ Sinv @ zr for zr in z])
-    trace, _ = hutchinson_trace_quadratic(form, probes, seed, cg_tol=1e-12)
-    assert trace == pytest.approx(expected, rel=1e-8)
+    z = [draws.integers(0, 2, m) * 2.0 - 1.0 for _ in range(probes)]
+    dense = [dense_trace_probe_values(panel, zr) for zr in z]
+    for component in COMPONENTS:
+        expected = np.mean([values[component] for values in dense]) / n
+        trace, _ = hutchinson_trace_quadratic(
+            QuadraticForm(component, design), probes, seed, cg_tol=1e-12
+        )
+        assert trace == pytest.approx(expected, rel=1e-8), component
 
+    if cell_width is not None:
+        monkeypatch.setattr(correct_module, "PROBE_BLOCK_BYTES", 8 * cells * cell_width)
     table = compute_leverages(
         panel, backend="stochastic", probes=probes, component="cov_alpha_psi",
         seed=seed, cg_tol=1e-12,
@@ -578,6 +617,26 @@ def test_probe_stream_matches_one_at_a_time_dense_oracle(
     lev = p_hat / (p_hat + m_hat)
     assert np.abs(table.leverage - lev).max() <= 1e-8 * lev.max()
     assert np.abs(table.component_weight - weights).max() <= 1e-8 * np.abs(weights).max()
+
+
+@pytest.mark.parametrize("n_covariates", (0, 2))
+def test_schur_space_traces_within_mc_error_of_exact(n_covariates):
+    """Every form's Schur-space probe estimate lies within 4 mc_stderr of the
+    exact trace. Without covariates the var_alpha_plus_psi probes are all
+    (W - 1 + m) / n, the trace of the centered fitted-value projection over
+    n, so its error is rounding alone."""
+    rng = np.random.default_rng(14)
+    panel = random_connected_panel(rng, n_workers=60, n_firms=8, n_covariates=n_covariates)
+    design = Design(panel)
+    for component in COMPONENTS:
+        form = QuadraticForm(component, design)
+        exact = exact_trace_quadratic(form)
+        trace, se = hutchinson_trace_quadratic(form, 200, seed=3, cg_tol=1e-12)
+        assert abs(trace - exact) <= 4 * se + 1e-12 * abs(exact), component
+        if n_covariates == 0 and component == "var_alpha_plus_psi":
+            m = panel.n_firms - 1
+            assert trace == pytest.approx((panel.n_workers - 1 + m) / panel.n_obs, rel=1e-12)
+            assert se <= 1e-12 * trace
 
 
 def test_stochastic_leave_out_returns_on_leave_one_out_connected_sets():
@@ -627,42 +686,123 @@ def test_stochastic_decomposition_components_equal_single_form_corrections(
 
 @pytest.mark.parametrize("method, columns_per_probe", (("homoskedastic_trace", 1), ("leave_out", 3)))
 def test_stochastic_decomposition_solves_shared_columns(method, columns_per_probe, monkeypatch):
-    """Homoskedastic: one S^{-1} z per probe serves the three forms. Leave-out:
-    one leverage column plus one per distinct observation map (alpha, psi).
-    Every probe solve runs in the Schur space, the trace probes' through
-    `solve_cg`. Each stage solves its probes in batches as wide as the budget
-    allows for cell-length columns (and parameter-length ones for the trace
-    probes): ceil(probes / batch) calls per stage."""
+    """Homoskedastic: one V z per probe serves the three forms. Leave-out: one
+    leverage column plus one per distinct observation map (alpha, psi). The
+    call picks one Schur solver and runs every batch through it, on whichever
+    path (here the dense factor: 8 m^2 is within the budget). Each stage
+    solves its probes in batches as wide as the budget allows for cell-length
+    columns (m-length ones for the trace probes): ceil(probes / batch) solves
+    per stage."""
     panel, _, loo, est_panel, est = loo_estimated(seed=5)
     budget = 8 * est_panel.n_obs * 3
+    m = est_panel.n_firms - 1
+    assert 8 * m * m <= budget
     monkeypatch.setattr(correct_module, "PROBE_BLOCK_BYTES", budget)
-    columns = []
-    solve_schur = Design.solve_schur
+    solvers, columns = [], []
+    schur_solver = correct_module._schur_solver
 
-    def counted(self, t, *args, **kwargs):
-        columns.append(1 if t.ndim == 1 else t.shape[1])
-        return solve_schur(self, t, *args, **kwargs)
+    def counted(design, cg_tol):
+        solve = schur_solver(design, cg_tol)
+        solvers.append(solve)
 
-    monkeypatch.setattr(Design, "solve_schur", counted)
+        def counted_solve(t):
+            columns.append(1 if t.ndim == 1 else t.shape[1])
+            return solve(t)
+
+        return counted_solve
+
+    monkeypatch.setattr(correct_module, "_schur_solver", counted)
     probes = 20
     corrected_decomposition(est_panel, est, method, "stochastic", probes=probes, seed=0)
+    assert len(solvers) == 1
     assert sum(columns) == columns_per_probe * probes
     cells = np.unique(np.column_stack([est_panel.worker_idx, est_panel.firm_idx]), axis=0).shape[0]
     if method == "homoskedastic_trace":
-        params = est_panel.n_workers + est_panel.n_firms - 1
-        stages, batch = 1, budget // (8 * max(params, cells))
+        stages, batch = 1, budget // (8 * m)
     else:  # the leverages, then the weight maps
         stages, batch = 2, budget // (8 * cells)
     assert len(columns) == stages * math.ceil(probes / batch)
 
 
+@pytest.mark.parametrize("n_covariates", (0, 2))
+@pytest.mark.parametrize("method", ("homoskedastic_trace", "leave_out"))
+def test_dense_factor_and_cg_agree(method, n_covariates, monkeypatch):
+    """The probe solves against the dense Schur factor and by CG at the
+    default tolerance give the same components and Monte Carlo errors within
+    1e-7 relative. A budget just below 8 m^2 forces CG; it also narrows the
+    batches, which does not change results."""
+    cfg = {"covariate_count": 2, "beta_true": (0.3, -0.2)} if n_covariates else {}
+    panel, _, loo, est_panel, est = loo_estimated(seed=5, **cfg)
+    m = est_panel.n_firms - 1 + n_covariates
+    cholesky = Design.schur_cholesky
+    factored = []
+
+    def counted(self):
+        factored.append(self)
+        return cholesky(self)
+
+    monkeypatch.setattr(Design, "schur_cholesky", counted)
+    decs = []
+    for budget in (correct_module.PROBE_BLOCK_BYTES, 8 * m * m - 8):
+        monkeypatch.setattr(correct_module, "PROBE_BLOCK_BYTES", budget)
+        decs.append(corrected_decomposition(est_panel, est, method, "stochastic", probes=20, seed=4))
+    assert len(factored) == 1  # the first call only
+    dense, cg = decs
+    for key in ("var_alpha", "var_psi", "cov2", "var_resid"):
+        assert cg.components[key] == pytest.approx(dense.components[key], rel=1e-7, abs=0.0), key
+    for key in ("var_alpha", "var_psi", "cov2"):
+        assert cg.mc_stderr[key] == pytest.approx(dense.mc_stderr[key], rel=1e-7, abs=0.0), key
+
+
+def test_schur_factor_only_within_probe_budget(monkeypatch):
+    """With 8 m^2 above PROBE_BLOCK_BYTES no stochastic entry point forms the
+    dense factor: every probe solve runs CG. At 8 m^2 equal to the budget
+    each call forms it once, and CG never runs."""
+    panel, _, loo, est_panel, est = loo_estimated(seed=5)
+    m = est_panel.n_firms - 1
+    factored, cg_solves = [], []
+    cholesky, solve_schur = Design.schur_cholesky, Design.solve_schur
+
+    def counted_cholesky(self):
+        factored.append(self)
+        return cholesky(self)
+
+    def counted_solve(self, t, *args, **kwargs):
+        cg_solves.append(t.shape)
+        return solve_schur(self, t, *args, **kwargs)
+
+    monkeypatch.setattr(Design, "schur_cholesky", counted_cholesky)
+    monkeypatch.setattr(Design, "solve_schur", counted_solve)
+    form = quadratic_form(est, "var_psi")
+    calls = [
+        lambda: corrected_decomposition(est_panel, est, "leave_out", "stochastic", probes=4),
+        lambda: corrected_decomposition(est_panel, est, "homoskedastic_trace", "stochastic",
+                                        probes=4),
+        lambda: correct_leave_out(est_panel, est, "var_psi", "stochastic", probes=4),
+        lambda: correct_homoskedastic(est_panel, est, "var_psi", "stochastic", probes=4),
+        lambda: compute_leverages(est_panel, None, "stochastic", probes=4),
+        lambda: hutchinson_trace_quadratic(form, 4, seed=0),
+    ]
+    monkeypatch.setattr(correct_module, "PROBE_BLOCK_BYTES", 8 * m * m - 1)
+    for call in calls:
+        call()
+    assert factored == [] and len(cg_solves) > 0
+    cg_solves.clear()
+    monkeypatch.setattr(correct_module, "PROBE_BLOCK_BYTES", 8 * m * m)
+    for call in calls:
+        call()
+    assert len(factored) == len(calls) and cg_solves == []
+
+
 @pytest.mark.parametrize("probes", (0, 1, -3))
 def test_probe_count_below_two_is_config_error(probes, monkeypatch):
-    """Every stochastic entry point rejects the count before any solve: a
-    Monte Carlo error needs two probes. The exact backend ignores it."""
+    """Every stochastic entry point rejects the count before any solve or
+    Schur factor: a Monte Carlo error needs two probes. The exact backend
+    ignores it."""
     panel, _, loo, est_panel, est = loo_estimated(seed=5)
     solves = []
     monkeypatch.setattr(Design, "solve_schur", lambda self, t, *a, **k: solves.append(t))
+    monkeypatch.setattr(Design, "schur_cholesky", lambda self: solves.append(self))
     form = quadratic_form(est, "var_psi")
     calls = [
         lambda: corrected_decomposition(est_panel, est, "leave_out", "stochastic", probes=probes),
