@@ -4,13 +4,14 @@
 For each of `--seeds` panels of the criterion-8 design (3000 workers, 300
 firms, T=2, size-skewed firms, size-coupled heteroskedastic noise; simulator
 seeds 0, 1, ...), fits a connected set by conjugate gradient and corrects
-var_alpha, var_psi and cov_alpha_psi by `--method` twice: once exactly and
-once in one stochastic call at `--probes` probes (probe seed = simulator
-seed). The leave-out correction (the default) runs on the leave-one-out
-connected set, the homoskedastic trace on the largest connected set, as the
-CLI's `pipeline` runs them. Per component it prints the share of seeds with
-|stochastic - exact| <= 2 mc_stderr and the mean and RMS of
-(stochastic - exact) / mc_stderr. A calibrated error gives about 95%, 0 and 1.
+var_alpha, var_psi and cov_alpha_psi by `--method` twice, in two
+`corrected_decomposition` calls: once exactly and once stochastically at
+`--probes` probes (probe seed = simulator seed). The leave-out correction
+(the default) runs on the leave-one-out connected set, the homoskedastic
+trace on the largest connected set, as the CLI's `pipeline` runs them. Per
+component it prints the share of seeds with |stochastic - exact| <=
+2 mc_stderr and the mean and RMS of (stochastic - exact) / mc_stderr. A
+calibrated error gives about 95%, 0 and 1.
 The homoskedastic run also prints each component's median mc_stderr.
 
     python3 scripts/stochastic_calibration.py --seeds 30 --probes 100
@@ -29,19 +30,15 @@ sys.path.insert(0, os.path.join(ROOT, "src"))
 import numpy as np  # noqa: E402
 
 import twowayfe as tw  # noqa: E402
-from twowayfe.correct import (  # noqa: E402
-    DEFAULT_CG_TOL,
-    QuadraticForm,
-    _exact_corrections,
-    _stochastic_corrections,
-)
 
 CRITERION_8 = dict(
     n_workers=3000, n_firms=300, n_periods=2, var_alpha_true=0.1, var_psi_true=0.02,
     corr_sorting=0.1, movers_share=0.25, network="size_skewed",
     noise_kind="heteroskedastic", noise_sigma2_range=(0.01, 0.1), noise_size_coupled=True,
 )
-COMPONENTS = ("var_alpha", "var_psi", "cov_alpha_psi")
+# each component, its key in a decomposition and the key's scale
+COMPONENTS = {"var_alpha": ("var_alpha", 1.0), "var_psi": ("var_psi", 1.0),
+              "cov_alpha_psi": ("cov2", 2.0)}
 
 
 def main(argv=None) -> int:
@@ -62,14 +59,14 @@ def main(argv=None) -> int:
             conn = tw.largest_connected_set(graph)
         est_panel = tw.restrict_panel(panel, conn.workers, conn.firms)
         est = tw.estimate(est_panel, None, tw.SolverConfig(method="conjugate_gradient"))
-        forms = [QuadraticForm(c, est.design) for c in COMPONENTS]
-        exact = _exact_corrections(est, forms, args.method)
-        stoch = _stochastic_corrections(
-            est, forms, args.method, args.probes, seed, DEFAULT_CG_TOL
+        exact = tw.corrected_decomposition(est_panel, est, args.method, "exact")
+        stoch = tw.corrected_decomposition(
+            est_panel, est, args.method, "stochastic", probes=args.probes, seed=seed
         )
-        for c in COMPONENTS:
-            ratios[c].append((stoch[c].corrected - exact[c].corrected) / stoch[c].mc_stderr)
-            stderrs[c].append(stoch[c].mc_stderr)
+        for c, (key, scale) in COMPONENTS.items():
+            se = stoch.mc_stderr[key]
+            ratios[c].append((stoch.components[key] - exact.components[key]) / se)
+            stderrs[c].append(se / scale)
 
     print(f"{args.seeds} seeds of the criterion-8 design, {args.probes} probes")
     print(f"{'component':<16}{'|err| <= 2 se':>15}{'mean err/se':>13}{'RMS err/se':>12}")

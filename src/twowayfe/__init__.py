@@ -17,7 +17,6 @@ from .correct import (
     correct_homoskedastic,
     correct_leave_out,
     corrected_decomposition,
-    quadratic_form,
 )
 from .decompose import (
     BetweenWithinSplit,

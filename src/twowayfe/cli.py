@@ -20,7 +20,7 @@ import time
 from dataclasses import asdict
 
 from . import __version__
-from .correct import corrected_decomposition
+from .correct import DEFAULT_PROBES, corrected_decomposition
 from .decompose import between_within_split, decompose_variance
 from .diagnose import EVENT_TIMES, event_study, subsample_plot
 from .errors import ConfigError, DataError, NumericalError, TwoWayError
@@ -306,7 +306,7 @@ def cmd_correct(config: dict, out_dir: str, *, panel=None, conn=None, fit=None) 
     run = Run("correct", out_dir, config, [config.get("panel", ""), config.get("set", "")])
     method = config.get("correction", "homoskedastic_trace")
     backend = config.get("backend", "exact")
-    probes = int(config.get("probes", 100))
+    probes = int(config.get("probes", DEFAULT_PROBES))
     seed = int(config.get("seed", 0))
     if panel is None:
         panel = _read_panel(config)

@@ -31,7 +31,7 @@ and every B_oo from sums in that space: O(m^3) for V plus O(m * nnz(t)) per
 mover cell (stayer cells without covariates need no product). Memory is one
 m x m array while the table is built, plus chunk * m per block of cells, then
 5 floats per observation kept. Quadratic-form matrices are never
-materialized; components act through centered selector maps.
+materialized.
 
 The stochastic backend works in the same Schur space. The homoskedastic
 trace probes are Rademacher over the m Schur coordinates, O(m) to draw: one
@@ -62,6 +62,10 @@ form), a leave-out one P * (1 + distinct observation maps) = 3P (one
 leverage estimate, then the alpha and psi maps), whatever the number of
 components. The components' Monte Carlo errors are therefore correlated;
 each mc_stderr is still that of its own component.
+
+Every correction takes its plug-in value from the plug-in decomposition
+(`decompose_variance`), so a corrected value is that decomposition's
+component minus the correction.
 """
 
 from __future__ import annotations
@@ -100,8 +104,10 @@ PROBE_BLOCK_BYTES = 1 << 19
 
 @dataclass(frozen=True)
 class QuadraticForm:
-    """Matrix-free symmetric form A with phi' A phi equal to one person-year
-    weighted variance component evaluated at stacked parameters."""
+    """One variance component (a key of COMPONENTS) on one Design, validated
+    on construction: the handle that the trace functions and the correction
+    engines take. `blocks` names the two per-observation effects (alpha, psi
+    or their sum) whose person-year covariance the component is."""
 
     component: str
     design: Design
@@ -113,28 +119,6 @@ class QuadraticForm:
     @property
     def blocks(self) -> tuple:
         return COMPONENTS[self.component]
-
-    def _centered_values(self, phi: np.ndarray, block: str) -> np.ndarray:
-        v = self.design.obs_values(phi, block)  # a new array: centered in place
-        v -= v.mean(axis=0)
-        return v
-
-    def apply(self, phi: np.ndarray) -> np.ndarray:
-        """A @ phi (symmetrized)."""
-        left, right = self.blocks
-        n = self.design.n
-        out = self.design.scatter_obs(self._centered_values(phi, right), left)
-        if left != right:
-            out = out + self.design.scatter_obs(self._centered_values(phi, left), right)
-            return out / (2.0 * n)
-        return out / n
-
-    def quad(self, phi: np.ndarray) -> float:
-        """phi' A phi: the plug-in component value."""
-        left, right = self.blocks
-        lv = self._centered_values(phi, left)
-        rv = lv if left == right else self._centered_values(phi, right)
-        return float(lv @ rv) / self.design.n
 
 
 @dataclass(frozen=True)
@@ -175,24 +159,15 @@ class LeverageTable:
     probes_used: int = 0
 
 
-def quadratic_form(estimates_or_design, component: str) -> QuadraticForm:
-    design = (
-        estimates_or_design
-        if isinstance(estimates_or_design, Design)
-        else estimates_or_design.design
-    )
-    return QuadraticForm(component=component, design=design)
-
-
-def _stacked(design: Design, estimates: Estimates) -> np.ndarray:
-    return design.stack_estimates(estimates.alpha, estimates.psi, estimates.beta)
-
-
-def _check_estimates(panel: Panel, estimates: Estimates) -> None:
-    if estimates.panel.n_obs != panel.n_obs or not np.array_equal(
-        estimates.panel.log_wage, panel.log_wage
-    ):
-        raise DataError("estimates were not computed on this panel")
+def _plug_ins(plug: Decomposition) -> dict:
+    """Every component's plug-in value, read from the plug-in decomposition."""
+    c = plug.components
+    return {
+        "var_alpha": c["var_alpha"],
+        "var_psi": c["var_psi"],
+        "cov_alpha_psi": c["cov2"] / 2.0,
+        "var_alpha_plus_psi": c["var_alpha"] + c["var_psi"] + c["cov2"],
+    }
 
 
 def _spans(count: int, size: int) -> list[slice]:
@@ -536,10 +511,12 @@ def _result(form: QuadraticForm, plug_in: float, correction: float, method: str,
     )
 
 
-def _exact_corrections(estimates: Estimates, forms: list[QuadraticForm], method: str) -> dict:
+def _exact_corrections(estimates: Estimates, forms: list[QuadraticForm], method: str,
+                       plug_in: dict) -> dict:
     """Either exact correction for several forms from one (P_oo, B_oo) table:
     sigma2hat * sum_o B_oo under homoskedasticity, sum_o B_oo sigma2_o with
-    leave-one-out sigma2_o otherwise."""
+    leave-one-out sigma2_o otherwise. `plug_in` maps each component to its
+    plug-in value (`_plug_ins`)."""
     design = forms[0].design
     sigma2 = _sigma2(estimates) if method == "homoskedastic_trace" else None
     lev, weights = _exact_table(design)
@@ -549,8 +526,10 @@ def _exact_corrections(estimates: Estimates, forms: list[QuadraticForm], method:
         bias = {f.component: float(weights[f.component] @ sigma2_obs) for f in forms}
     else:
         bias = {f.component: sigma2 * float(weights[f.component].sum()) for f in forms}
-    phi = _stacked(design, estimates)
-    return {f.component: _result(f, f.quad(phi), bias[f.component], method, "exact") for f in forms}
+    return {
+        f.component: _result(f, plug_in[f.component], bias[f.component], method, "exact")
+        for f in forms
+    }
 
 
 def _leave_out_probes(estimates: Estimates, forms: list[QuadraticForm], probes: int,
@@ -575,17 +554,13 @@ def _leave_out_probes(estimates: Estimates, forms: list[QuadraticForm], probes: 
 
 
 def _stochastic_corrections(estimates: Estimates, forms: list[QuadraticForm], method: str,
-                            probes: int, seed: int, cg_tol: float) -> dict:
+                            plug_in: dict, probes: int, seed: int, cg_tol: float) -> dict:
     """Either stochastic correction for several forms from one probe stream of
     default_rng(seed): every form reads the same probes, so a decomposition
     pays for its solves once, and each form's mc_stderr is the standard error
     of its own per-probe values (the forms' errors are correlated). Every
-    solve of the call runs one solver (`_schur_solver`)."""
-    # the plug-in values first: their observation-length temporaries then do
-    # not stack on the cells' arrays that the probe loops keep
-    phi = _stacked(forms[0].design, estimates)
-    plug_in = {f.component: f.quad(phi) for f in forms}
-    del phi
+    solve of the call runs one solver (`_schur_solver`). `plug_in` maps each
+    component to its plug-in value (`_plug_ins`)."""
     rng = np.random.default_rng(seed)
     solve = _schur_solver(forms[0].design, cg_tol)
     if method == "homoskedastic_trace":
@@ -604,10 +579,13 @@ def _stochastic_corrections(estimates: Estimates, forms: list[QuadraticForm], me
 
 
 def _corrections(estimates: Estimates, forms: list[QuadraticForm], method: str, backend: str,
-                 probes: int, seed: int, cg_tol: float) -> dict:
+                 plug: Decomposition, probes: int, seed: int, cg_tol: float) -> dict:
+    """The forms' CorrectionResults, plug-ins read from `plug`, the plug-in
+    decomposition of the fit."""
+    plug_in = _plug_ins(plug)
     if backend == "exact":
-        return _exact_corrections(estimates, forms, method)
-    return _stochastic_corrections(estimates, forms, method, probes, seed, cg_tol)
+        return _exact_corrections(estimates, forms, method, plug_in)
+    return _stochastic_corrections(estimates, forms, method, plug_in, probes, seed, cg_tol)
 
 
 def _check_backend(backend: str, probes: int) -> None:
@@ -627,11 +605,12 @@ def _check_probes(probes: int) -> None:
 
 def _correct_one(panel: Panel, estimates: Estimates, form: QuadraticForm | str, method: str,
                  backend: str, probes: int, seed: int, cg_tol: float) -> CorrectionResult:
-    _check_estimates(panel, estimates)
+    plug = decompose_variance(panel, estimates)  # raises if the fit is not of `panel`
     _check_backend(backend, probes)
     if isinstance(form, str):
-        form = quadratic_form(estimates, form)
-    return _corrections(estimates, [form], method, backend, probes, seed, cg_tol)[form.component]
+        form = QuadraticForm(form, estimates.design)
+    results = _corrections(estimates, [form], method, backend, plug, probes, seed, cg_tol)
+    return results[form.component]
 
 
 def correct_homoskedastic(
@@ -702,7 +681,7 @@ def corrected_decomposition(
     _check_backend(backend, probes)
     plug = decompose_variance(panel, estimates)
     forms = [QuadraticForm(c, estimates.design) for c in ("var_alpha", "var_psi", "cov_alpha_psi")]
-    results = _corrections(estimates, forms, method, backend, probes, seed, cg_tol)
+    results = _corrections(estimates, forms, method, backend, plug, probes, seed, cg_tol)
 
     var_alpha = results["var_alpha"].corrected
     var_psi = results["var_psi"].corrected
@@ -727,18 +706,3 @@ def corrected_decomposition(
             )
     flavor = "homoskedastic_corrected" if method == "homoskedastic_trace" else "leave_out_corrected"
     return Decomposition.from_components(components, flavor, total=plug.total, mc_stderr=mc_stderr)
-
-
-def correction_pairs(results) -> list[dict]:
-    """Paired plug-in / corrected rows for reporting."""
-    rows = []
-    for res in results:
-        rows.append(
-            {
-                "component": res.component,
-                "plug_in": res.plug_in,
-                "corrected": res.corrected,
-                "method": res.method,
-            }
-        )
-    return rows

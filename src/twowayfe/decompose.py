@@ -105,6 +105,15 @@ class BetweenWithinSplit:
         return self.between_firm_variance + self.within_firm_variance
 
 
+def _check_fit(panel: Panel, estimates: Estimates) -> None:
+    """Raise DataError unless `estimates` were computed on `panel`: the same
+    observations and log wages."""
+    if estimates.panel.n_obs != panel.n_obs or not np.array_equal(
+        estimates.panel.log_wage, panel.log_wage
+    ):
+        raise DataError("estimates were not computed on this panel")
+
+
 def decompose_variance(panel: Panel, estimates: Estimates, include_covariates: bool = False) -> Decomposition:
     """Plug-in decomposition of wage variance on the estimation panel.
 
@@ -113,11 +122,7 @@ def decompose_variance(panel: Panel, estimates: Estimates, include_covariates: b
     covariance terms. Residual orthogonality from the solver guarantees the
     components sum to the total up to rounding.
     """
-    if estimates.panel.n_obs != panel.n_obs or not np.array_equal(
-        estimates.panel.log_wage, panel.log_wage
-    ):
-        raise DataError("estimates were not computed on this panel")
-
+    _check_fit(panel, estimates)
     a = estimates.alpha_obs()
     p = estimates.psi_obs()
     xb = estimates.xb_obs()
@@ -141,8 +146,7 @@ def between_within_split(panel: Panel, estimates: Estimates | None = None) -> Be
     """
     y = panel.log_wage
     if estimates is not None:
-        if estimates.panel.n_obs != panel.n_obs:
-            raise DataError("estimates were not computed on this panel")
+        _check_fit(panel, estimates)
         y = y - estimates.xb_obs()
     firm_sums = np.bincount(panel.firm_idx, weights=y, minlength=panel.n_firms)
     firm_counts = np.bincount(panel.firm_idx, minlength=panel.n_firms)

@@ -44,7 +44,7 @@ class Incidence:
 
     def __init__(self, worker_idx, firm_idx, covariates, n_workers: int, n_firms: int):
         rows = worker_idx.size
-        self.worker_idx, self.firm_idx = worker_idx, firm_idx
+        self.worker_idx = worker_idx
         self.W = n_workers
         self.F = n_firms
         self.K = covariates.shape[1]
@@ -92,34 +92,6 @@ class Incidence:
         out = np.empty((self.p,) + v.shape[1:])
         out[self.alpha_slice] = self.worker_mat.T @ v
         out[self.W :] = self.g_mat.T @ v
-        return out
-
-    def obs_values(self, phi: np.ndarray, block: str) -> np.ndarray:
-        """Per-row value of one additive block of D @ phi.
-
-        block: "alpha" -> alpha_{w(o)}, "psi" -> psi_{j(o)} (reference firm 0),
-        "alpha_plus_psi" -> their sum. Supports stacked (p,) or (p, m) input.
-        """
-        w, f = self.worker_idx, self.firm_idx
-        if block == "alpha":
-            return phi[self.alpha_slice][w]
-        psi = phi[self.psi_slice]
-        pad = np.zeros((1,) + psi.shape[1:])
-        psi_full = np.concatenate([psi, pad], axis=0)
-        if block == "psi":
-            return psi_full[f]
-        if block == "alpha_plus_psi":
-            return phi[self.alpha_slice][w] + psi_full[f]
-        raise ValueError(f"unknown block {block!r}")
-
-    def scatter_obs(self, v: np.ndarray, block: str) -> np.ndarray:
-        """Adjoint of obs_values: map row-space v into the stacked parameter
-        space through one block's incidence."""
-        out = np.zeros((self.p,) + v.shape[1:])
-        if block in ("alpha", "alpha_plus_psi"):
-            out[self.alpha_slice] = self.worker_mat.T @ v
-        if block in ("psi", "alpha_plus_psi"):
-            out[self.psi_slice] = self.firm_red.T @ v
         return out
 
 
@@ -174,7 +146,6 @@ class Design(Incidence):
         )
         self.panel = panel
         self.n = panel.n_obs
-        self.ref_firm = self.F - 1
         self.d_worker = np.bincount(panel.worker_idx, minlength=self.W).astype(np.float64)
         self.g_firm = np.bincount(panel.firm_idx, minlength=self.F).astype(np.float64)
         self.contact = (self.worker_mat.T @ self.g_mat).tocsr()  # W x (F-1+K)
@@ -320,15 +291,6 @@ class Design(Incidence):
             rho_prev = rho
             iters += 1
         return y, iters
-
-    def stack_estimates(self, alpha: np.ndarray, psi: np.ndarray, beta: np.ndarray) -> np.ndarray:
-        """Re-express mean-zero-normalized estimates in the reference-firm basis."""
-        shift = psi[self.ref_firm]
-        phi = np.empty(self.p)
-        phi[self.alpha_slice] = alpha + shift
-        phi[self.psi_slice] = psi[: self.F - 1] - shift
-        phi[self.beta_slice] = beta
-        return phi
 
 
 def check_covariate_collinearity(panel: Panel, tol=1e-10) -> None:

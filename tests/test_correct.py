@@ -18,7 +18,6 @@ from twowayfe import (
     estimate,
     largest_connected_set,
     leave_one_out_connected_set,
-    quadratic_form,
     restrict_panel,
     simulate_panel,
 )
@@ -26,7 +25,6 @@ from twowayfe import correct as correct_module
 from twowayfe.correct import (
     QuadraticForm,
     _exact_tables,
-    correction_pairs,
     exact_trace_quadratic,
     hutchinson_trace_quadratic,
 )
@@ -77,6 +75,11 @@ def loo_estimated(seed=0, **cfg_kwargs):
     return panel, truth, loo, est_panel, est
 
 
+# each correction's component, its decomposition key and the key's scale
+DECOMPOSED = (("var_alpha", "var_alpha", 1.0), ("var_psi", "var_psi", 1.0),
+              ("cov_alpha_psi", "cov2", 2.0))
+
+
 class TestQuadraticFormsAgainstDense:
     @pytest.mark.parametrize(
         "component", ("var_alpha", "var_psi", "cov_alpha_psi", "var_alpha_plus_psi")
@@ -88,33 +91,39 @@ class TestQuadraticFormsAgainstDense:
         form = QuadraticForm(component, design)
         D, Sinv, A_of = dense_pieces(panel)
         A = A_of(*form.blocks)
-        phi = rng.normal(size=design.p)
-        assert np.abs(form.apply(phi) - A @ phi).max() < 1e-10
-        assert form.quad(phi) == pytest.approx(phi @ A @ phi, abs=1e-10)
         assert exact_trace_quadratic(form) == pytest.approx(np.trace(A @ Sinv), abs=1e-9)
 
-    def test_apply_zero_gives_zero(self):
-        rng = np.random.default_rng(2)
-        panel = random_connected_panel(rng, n_workers=10, n_firms=3)
-        form = quadratic_form(estimate(panel), "var_psi")
-        assert np.all(form.apply(np.zeros(form.design.p)) == 0.0)
+    @pytest.mark.parametrize("backend", ("exact", "stochastic"))
+    def test_plug_in_matches_decomposition(self, backend, monkeypatch):
+        """Every correction's plug-in is decompose_variance's component bit for
+        bit (the covariance's twice over, var_alpha_plus_psi the sum of the
+        variances and cov2), and each component of a corrected decomposition
+        is that plug-in minus its scaled correction, on either backend."""
+        captured = []
+        corrections = correct_module._corrections
 
-    def test_plug_in_matches_decomposition(self):
-        rng = np.random.default_rng(3)
-        panel = random_connected_panel(rng, n_workers=20, n_firms=5)
-        est = estimate(panel)
-        dec = decompose_variance(panel, est)
-        design = Design(est.panel)
-        phi = design.stack_estimates(est.alpha, est.psi, est.beta)
-        assert QuadraticForm("var_alpha", design).quad(phi) == pytest.approx(
-            dec.components["var_alpha"], abs=1e-12
-        )
-        assert QuadraticForm("var_psi", design).quad(phi) == pytest.approx(
-            dec.components["var_psi"], abs=1e-12
-        )
-        assert 2 * QuadraticForm("cov_alpha_psi", design).quad(phi) == pytest.approx(
-            dec.components["cov2"], abs=1e-12
-        )
+        def capture(*args, **kwargs):
+            captured.append(corrections(*args, **kwargs))
+            return captured[-1]
+
+        monkeypatch.setattr(correct_module, "_corrections", capture)
+        for seed in range(4):
+            panel, _, loo, est_panel, est = loo_estimated(seed=seed, n_workers=60, n_firms=6)
+            plug = decompose_variance(est_panel, est).components
+            for method, correct_fn in (("homoskedastic_trace", correct_homoskedastic),
+                                       ("leave_out", correct_leave_out)):
+                for component, key, scale in DECOMPOSED:
+                    single = correct_fn(est_panel, est, component, backend, probes=20, seed=seed)
+                    assert scale * single.plug_in == plug[key], (seed, method, component)
+                both = correct_fn(est_panel, est, "var_alpha_plus_psi", backend, probes=20)
+                assert both.plug_in == plug["var_alpha"] + plug["var_psi"] + plug["cov2"]
+                captured.clear()
+                dec = corrected_decomposition(est_panel, est, method, backend, probes=20, seed=seed)
+                (results,) = captured
+                for component, key, scale in DECOMPOSED:
+                    res = results[component]
+                    assert scale * res.plug_in == plug[key], (seed, method, component)
+                    assert dec.components[key] == plug[key] - scale * res.correction
 
 
 class TestLeverages:
@@ -365,28 +374,6 @@ class TestCorrectedDecomposition:
             with pytest.raises(ConfigError, match="unknown backend 'mystery'"):
                 corrected_decomposition(exactfit_panel, est, method, backend="mystery")
         assert solves == []
-
-
-class TestReporting:
-    def test_paired_rows_display(self):
-        # published US reference pair: plug-in (cov2 0.011, var_psi 0.122)
-        # against corrected (0.135, 0.055); rendering fixture only
-        from twowayfe.correct import CorrectionResult
-
-        rows = correction_pairs(
-            [
-                CorrectionResult(
-                    component="cov2", plug_in=0.011, correction=-0.124,
-                    corrected=0.135, method="homoskedastic_trace", backend="exact",
-                ),
-                CorrectionResult(
-                    component="var_psi", plug_in=0.122, correction=0.067,
-                    corrected=0.055, method="homoskedastic_trace", backend="exact",
-                ),
-            ]
-        )
-        assert rows[0]["plug_in"] == 0.011 and rows[0]["corrected"] == 0.135
-        assert rows[1]["plug_in"] == 0.122 and rows[1]["corrected"] == 0.055
 
 
 def repeated_cell_panel(rng, n_covariates, n_firms=4):
@@ -660,10 +647,6 @@ def test_stochastic_leave_out_returns_on_leave_one_out_connected_sets():
         assert abs(gap) <= 0.002, (seed, gap)
 
 
-DECOMPOSED = (("var_alpha", "var_alpha", 1.0), ("var_psi", "var_psi", 1.0),
-              ("cov_alpha_psi", "cov2", 2.0))
-
-
 @pytest.mark.parametrize("block_width", (None, 3))
 @pytest.mark.parametrize("method", ("homoskedastic_trace", "leave_out"))
 def test_stochastic_decomposition_components_equal_single_form_corrections(
@@ -773,7 +756,7 @@ def test_schur_factor_only_within_probe_budget(monkeypatch):
 
     monkeypatch.setattr(Design, "schur_cholesky", counted_cholesky)
     monkeypatch.setattr(Design, "solve_schur", counted_solve)
-    form = quadratic_form(est, "var_psi")
+    form = QuadraticForm("var_psi", est.design)
     calls = [
         lambda: corrected_decomposition(est_panel, est, "leave_out", "stochastic", probes=4),
         lambda: corrected_decomposition(est_panel, est, "homoskedastic_trace", "stochastic",
@@ -803,7 +786,7 @@ def test_probe_count_below_two_is_config_error(probes, monkeypatch):
     solves = []
     monkeypatch.setattr(Design, "solve_schur", lambda self, t, *a, **k: solves.append(t))
     monkeypatch.setattr(Design, "schur_cholesky", lambda self: solves.append(self))
-    form = quadratic_form(est, "var_psi")
+    form = QuadraticForm("var_psi", est.design)
     calls = [
         lambda: corrected_decomposition(est_panel, est, "leave_out", "stochastic", probes=probes),
         lambda: corrected_decomposition(est_panel, est, "homoskedastic_trace", "stochastic",

@@ -164,6 +164,23 @@ class TestBetweenWithin:
         assert split.between_firm_variance == pytest.approx(pvar(m), abs=1e-12)
         assert split.within_firm_variance == pytest.approx(np.mean((y - m) ** 2), abs=1e-12)
 
+    def test_fit_of_other_panel_with_same_row_count_rejected(self):
+        """A fit of another panel with as many rows, here the same workers and
+        firms with other wages, is rejected rather than split."""
+        rng = np.random.default_rng(6)
+        panel = random_connected_panel(rng, n_workers=20, n_firms=4, n_covariates=1)
+        other = Panel(
+            worker=[panel.worker_ids[i] for i in panel.worker_idx],
+            firm=[panel.firm_ids[j] for j in panel.firm_idx],
+            period=panel.period,
+            log_wage=panel.log_wage + rng.normal(size=panel.n_obs),
+            covariates=panel.covariates,
+        )
+        assert other.n_obs == panel.n_obs
+        between_within_split(panel, estimate(panel))
+        with pytest.raises(DataError, match="not computed on this panel"):
+            between_within_split(panel, estimate(other))
+
 
 class TestCompare:
     def test_identical_decompositions(self):
