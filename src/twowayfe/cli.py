@@ -302,7 +302,8 @@ def cmd_decompose(config: dict, out_dir: str, *, fit=None) -> None:
 
 def cmd_correct(config: dict, out_dir: str, *, panel=None, conn=None, fit=None) -> None:
     """Corrects `fit`, by default the fit on `conn`; run alone, `conn` is the
-    leave-one-out set for leave_out and the largest set otherwise."""
+    config's set file if it names one, else the leave-one-out set for
+    leave_out and the largest set otherwise."""
     run = Run("correct", out_dir, config, [config.get("panel", ""), config.get("set", "")])
     method = config.get("correction", "homoskedastic_trace")
     backend = config.get("backend", "exact")
@@ -310,9 +311,12 @@ def cmd_correct(config: dict, out_dir: str, *, panel=None, conn=None, fit=None) 
     seed = int(config.get("seed", 0))
     if panel is None:
         panel = _read_panel(config)
-        graph = build_graph(panel)
-        conn = (leave_one_out_connected_set(graph, panel) if method == "leave_out"
-                else largest_connected_set(graph))
+        if config.get("set"):
+            conn = _read_set(config["set"])
+        else:
+            graph = build_graph(panel)
+            conn = (leave_one_out_connected_set(graph, panel) if method == "leave_out"
+                    else largest_connected_set(graph))
     est = _fit(config, panel, conn) if fit is None else fit
     dec = corrected_decomposition(
         est.panel, est, method, backend=backend, probes=probes, seed=seed
@@ -475,7 +479,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--panel", help="input panel file")
         p.add_argument("--delimiter", help="field delimiter (default comma)")
         p.add_argument("--seed", type=int, help="top-level random seed")
-        p.add_argument("--threads", type=int, help="parallelism cap (default 1)")
         if name in ("estimate", "decompose", "correct", "subsample", "eventstudy", "pipeline"):
             p.add_argument(
                 "--method",
@@ -491,6 +494,7 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("--backend", help="exact | stochastic")
             p.add_argument("--probes", type=int, help="stochastic probe count")
         if name == "subsample":
+            p.add_argument("--threads", type=int, help="parallelism cap (default 1)")
             p.add_argument("--shares", help="comma-separated shares in (0, 1]")
             p.add_argument("--replicates", type=int)
         if name == "eventstudy":

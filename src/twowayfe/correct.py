@@ -23,15 +23,16 @@ both exact corrections read one per-observation (P_oo, B_oo) table.
 
 Each correction runs on an exact backend or a stochastic one (Rademacher
 probes, Schur-space solves) for scale, on the fit's own Design
-(`Estimates.design`). The exact backend builds one table per Design, for all
-components, and keeps it there for every exact correction of that fit. Per
-distinct (worker, firm, covariate row) cell it forms y = V t, V the explicit
-inverse of the m = (F-1+K)-dimensional Schur complement of S and t sparse,
-and every B_oo from sums in that space: O(m^3) for V plus O(m * nnz(t)) per
-mover cell (stayer cells without covariates need no product). Memory is one
-m x m array while the table is built, plus chunk * m per block of cells, then
-5 floats per observation kept. Quadratic-form matrices are never
-materialized.
+(`Estimates.design`: the one a conjugate-gradient fit solved on, so a
+correction builds no second Design). The exact backend builds one table per
+Design, for all components, and keeps it there for every exact correction of
+that fit. Per distinct (worker, firm, covariate row) cell (`Design.cells`) it
+forms y = V t, V the explicit inverse of the m = (F-1+K)-dimensional Schur
+complement of S and t sparse, and every B_oo from sums in that space: O(m^3)
+for V plus O(m * nnz(t)) per mover cell (stayer cells without covariates
+need no product). Memory is one m x m array while the table is built, plus
+chunk * m per block of cells, then 5 floats per observation kept.
+Quadratic-form matrices are never materialized.
 
 The stochastic backend works in the same Schur space. The homoskedastic
 trace probes are Rademacher over the m Schur coordinates, O(m) to draw: one
@@ -228,7 +229,7 @@ def _trace_probes(forms: list[QuadraticForm], probes: int, rng, solve) -> dict:
     design = forms[0].design
     n, F1 = design.n, design.F - 1
     m = F1 + design.K
-    s = np.asarray(design.g_mat.sum(axis=0)).ravel()
+    s = np.concatenate([design.g_firm[:F1], design.panel.covariates.sum(axis=0)])
     n_f = s[:F1]
     vals = {f.component: [] for f in forms}
     for batch in _spans(probes, max(m, 1)):
@@ -294,8 +295,8 @@ def _exact_tables(design: Design, forms: list[QuadraticForm], chunk: int = 512):
     T = _schur_rows(design)
     live = np.flatnonzero(np.diff(T.indptr))
     V = design.schur_inverse() if live.size else None
-    g_sums = np.asarray(design.g_mat.sum(axis=0)).ravel()
     n_firm = design.g_firm[:F1]
+    g_sums = np.concatenate([n_firm, design.panel.covariates.sum(axis=0)])
 
     lev = 1.0 / design.d_worker[cells.worker_idx]
     # sum d a^2, sum d a, sum n psi^2, sum n psi, sum a psi; their values at y = 0
@@ -422,7 +423,7 @@ def _cell_maps(forms: list[QuadraticForm], T: sp.csr_matrix, probes: int, rng, s
         k = sums.shape[1]
         worker = (cells.worker_mat.T @ sums) / design.d_worker[:, None]
         alpha_rhs = design.contact.T @ worker
-        psi_rhs = cells.firm_red.T @ sums
+        psi_rhs = (cells.g_mat.T @ sums)[:F1]
         rhs = np.zeros((T.shape[1], len(blocks) * k))
         for i, b in enumerate(blocks):
             if b in ("alpha", "alpha_plus_psi"):

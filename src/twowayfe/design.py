@@ -17,10 +17,12 @@ backend reads its dense inverse from `schur_inverse`, built on each call,
 and the stochastic backend solves against its dense Cholesky factor
 (`schur_cholesky`) when m is small.
 
-`Incidence` holds the rows of D for a set of (worker, firm, covariate row)
-tuples and D's products with them. A Design's rows are its observations;
-`Design.cells` holds its distinct cells, on which both correction backends
-work, with each observation's cell and the observations per cell.
+A Design holds its panel's distinct (worker, firm, covariate row) cells
+(`Design.cells`), built with it, and no observation-level copy of D: the
+rows of one cell share their row of D, so D'v is the cells' rows applied to
+v's per-cell sums, D phi each cell's value read by its observations, and the
+contact and G'G blocks of S sum the cells' rows weighted by the observations
+per cell. Both correction backends work on the same cells.
 """
 
 from __future__ import annotations
@@ -36,36 +38,72 @@ from .network import _components, worker_firm_incidence
 from .panel import Panel
 
 
-class Incidence:
-    """The rows of the design matrix D for given (worker, firm, covariate row)
-    tuples: worker indicators, firm indicators without the reference firm,
-    covariates. Rows are a panel's observations (Design) or its distinct
-    cells (Cells)."""
+class Cells:
+    """A panel's distinct (worker, firm, covariate row) cells and their rows of
+    the design matrix D: worker indicators (`worker_mat`), then firm indicators
+    without the reference firm and covariates (`g_mat`). The rows of one cell
+    share their row of D, so every product of D runs on the cells' rows:
+    `inverse` maps each observation to its cell, `rep` names one observation
+    of each cell and `counts` holds the observations per cell (float64)."""
 
-    def __init__(self, worker_idx, firm_idx, covariates, n_workers: int, n_firms: int):
-        rows = worker_idx.size
-        self.worker_idx = worker_idx
-        self.W = n_workers
-        self.F = n_firms
-        self.K = covariates.shape[1]
+    def __init__(self, panel: Panel):
+        # rows sorted by (worker * F + firm, covariates), stably: the cells, rep
+        # and inverse of np.unique(axis=0) over (worker, firm, covariates),
+        # without its n x (2+K) sort temporaries
+        columns = [panel.worker_idx * panel.n_firms + panel.firm_idx, *panel.covariates.T]
+        order = np.lexsort(columns[::-1])
+        first = np.zeros(panel.n_obs, dtype=bool)
+        first[0] = True
+        for col in columns:
+            col = col[order]
+            first[1:] |= col[1:] != col[:-1]
+        del columns, col  # freed before the three n-length arrays below
+        starts = np.flatnonzero(first)
+        self.rep = order[starts]
+        cell = np.cumsum(first, dtype=np.intp)
+        cell -= 1  # each sorted row's cell
+        self.inverse = np.empty_like(cell)
+        self.inverse[order] = cell
+        self.counts = np.diff(starts, append=panel.n_obs).astype(np.float64)
+        self.size = starts.size
+
+        self.worker_idx = panel.worker_idx[self.rep]
+        rows, ones, F = np.arange(self.size), np.ones(self.size), panel.n_firms
+        self.worker_mat = sp.csr_matrix((ones, (rows, self.worker_idx)),
+                                        shape=(self.size, panel.n_workers))
+        firms = sp.csr_matrix((ones, (rows, panel.firm_idx[self.rep])), shape=(self.size, F))
+        self.g_mat = firms[:, : F - 1].tocsr()
+        if panel.covariate_count:
+            covariates = sp.csr_matrix(panel.covariates[self.rep])
+            self.g_mat = sp.hstack([self.g_mat, covariates]).tocsr()
+
+    def sums(self, v: np.ndarray) -> np.ndarray:
+        """Per-cell sums of an observation-space array (n,) or (n, k)."""
+        if v.ndim == 1:
+            return np.bincount(self.inverse, v, self.size)
+        return np.column_stack([np.bincount(self.inverse, col, self.size) for col in v.T])
+
+
+class Design:
+    """Design matrix machinery for one estimation panel, on its cells.
+
+    Parameters
+    ----------
+    panel : Panel restricted to a single connected set. The last internal firm
+        index is the dropped reference.
+    """
+
+    def __init__(self, panel: Panel):
+        self.panel = panel
+        self.n = panel.n_obs
+        self.W, self.F, self.K = panel.n_workers, panel.n_firms, panel.covariate_count
         self.p = self.W + self.F - 1 + self.K
-
-        ones = np.ones(rows)
-        firm_full = sp.csr_matrix((ones, (np.arange(rows), firm_idx)), shape=(rows, self.F))
-        self.firm_red = firm_full[:, : self.F - 1].tocsr()
-        if self.K:
-            self.g_mat = sp.hstack([self.firm_red, sp.csr_matrix(covariates)]).tocsr()
-        else:
-            self.g_mat = self.firm_red
-
-    @cached_property
-    def worker_mat(self) -> sp.csr_matrix:
-        """The worker indicators, rows x W; built on first use (the exact
-        engine never reads the cells' own)."""
-        rows = self.worker_idx.size
-        return sp.csr_matrix(
-            (np.ones(rows), (np.arange(rows), self.worker_idx)), shape=(rows, self.W)
-        )
+        self.cells = Cells(panel)
+        self.d_worker = np.bincount(panel.worker_idx, minlength=self.W).astype(np.float64)
+        self.g_firm = np.bincount(panel.firm_idx, minlength=self.F).astype(np.float64)
+        weighted = sp.diags(self.cells.counts) @ self.cells.g_mat
+        self.contact = (self.cells.worker_mat.T @ weighted).tocsr()  # W x (F-1+K)
+        self.exact_table = None  # (P_oo, {component: B_oo}), see correct._exact_table
 
     # -- block slices ----------------------------------------------------
     @property
@@ -82,86 +120,30 @@ class Incidence:
 
     # -- design application ------------------------------------------------
     def apply(self, phi: np.ndarray) -> np.ndarray:
-        """D @ phi: fitted value per row (supports (p,) or (p, m))."""
-        out = self.g_mat @ phi[self.W :]
-        out += phi[self.alpha_slice][self.worker_idx]
-        return out
+        """D @ phi, fitted value per observation (supports (p,) or (p, k)):
+        each cell's value, read by its observations."""
+        cells = self.cells
+        out = cells.g_mat @ phi[self.W :]
+        out += phi[self.alpha_slice][cells.worker_idx]
+        return out[cells.inverse]
 
     def apply_T(self, v: np.ndarray) -> np.ndarray:
-        """D' @ v for a row-space vector (supports (rows,) or (rows, m))."""
+        """D' @ v for an observation-space v (supports (n,) or (n, k)): the
+        cells' rows of D applied to v's per-cell sums."""
+        cells = self.cells
+        sums = cells.sums(v)
         out = np.empty((self.p,) + v.shape[1:])
-        out[self.alpha_slice] = self.worker_mat.T @ v
-        out[self.W :] = self.g_mat.T @ v
+        out[self.alpha_slice] = cells.worker_mat.T @ sums
+        out[self.W :] = cells.g_mat.T @ sums
         return out
-
-
-class Cells(Incidence):
-    """A panel's distinct (worker, firm, covariate row) cells. The rows of one
-    cell share their row of D, so every product of D with a vector that is
-    constant within cells runs on the cells' rows of D: `inverse` maps each
-    observation to its cell, `rep` names one observation of each cell and
-    `counts` holds the observations per cell (float64)."""
-
-    def __init__(self, panel: Panel):
-        # rows sorted by (worker, firm, covariates), stably: the cells, rep and
-        # inverse of np.unique(axis=0), without its n x (2+K) sort temporaries
-        columns = [panel.worker_idx, panel.firm_idx, *panel.covariates.T]
-        order = np.lexsort(columns[::-1])
-        first = np.zeros(panel.n_obs, dtype=bool)
-        first[0] = True
-        for col in columns:
-            col = col[order]
-            first[1:] |= col[1:] != col[:-1]
-        del col  # freed before the three n-length arrays below
-        starts = np.flatnonzero(first)
-        self.rep = order[starts]
-        cell = np.cumsum(first, dtype=np.intp)
-        cell -= 1  # each sorted row's cell
-        self.inverse = np.empty_like(cell)
-        self.inverse[order] = cell
-        self.counts = np.diff(starts, append=panel.n_obs).astype(np.float64)
-        self.size = starts.size
-        super().__init__(
-            panel.worker_idx[self.rep], panel.firm_idx[self.rep], panel.covariates[self.rep],
-            panel.n_workers, panel.n_firms,
-        )
-
-    def sums(self, v: np.ndarray) -> np.ndarray:
-        """Per-cell sums of an observation-space vector (n,)."""
-        return np.bincount(self.inverse, v, self.size)
-
-
-class Design(Incidence):
-    """Design matrix machinery for one estimation panel.
-
-    Parameters
-    ----------
-    panel : Panel restricted to a single connected set. The last internal firm
-        index is the dropped reference.
-    """
-
-    def __init__(self, panel: Panel):
-        super().__init__(
-            panel.worker_idx, panel.firm_idx, panel.covariates, panel.n_workers, panel.n_firms
-        )
-        self.panel = panel
-        self.n = panel.n_obs
-        self.d_worker = np.bincount(panel.worker_idx, minlength=self.W).astype(np.float64)
-        self.g_firm = np.bincount(panel.firm_idx, minlength=self.F).astype(np.float64)
-        self.contact = (self.worker_mat.T @ self.g_mat).tocsr()  # W x (F-1+K)
-        self.exact_table = None  # (P_oo, {component: B_oo}), see correct._exact_table
-
-    @cached_property
-    def cells(self) -> Cells:
-        """The panel's distinct cells, found once and shared by both
-        correction backends."""
-        return Cells(self.panel)
 
     # -- normal equations --------------------------------------------------
     @cached_property
     def gtg(self) -> sp.csr_matrix:
-        """G'G, the firm/covariate block of S."""
-        return (self.g_mat.T @ self.g_mat).tocsr()
+        """G'G, the firm/covariate block of S, from the cells' rows weighted by
+        their counts."""
+        g = self.cells.g_mat
+        return (g.T @ sp.diags(self.cells.counts) @ g).tocsr()
 
     @cached_property
     def schur(self) -> sp.csr_matrix:
@@ -307,26 +289,21 @@ def check_covariate_collinearity(panel: Panel, tol=1e-10) -> None:
 
     if panel.covariate_count == 0:
         return
-    cell = panel.worker_idx * panel.n_firms + panel.firm_idx
-    order = np.argsort(cell, kind="stable")
-    sorted_cell = cell[order]
-    boundaries = np.flatnonzero(np.diff(sorted_cell)) + 1
-    starts = np.concatenate([[0], boundaries])
-    counts = np.diff(np.concatenate([starts, [len(cell)]]))
-    X = panel.covariates[order]
-    resid = X - np.repeat(np.add.reduceat(X, starts) / counts[:, None], counts, axis=0)
+    design = Design(Panel._from_sorted(  # the worker and firm indicators alone
+        panel.worker_ids, panel.firm_ids, panel.worker_idx, panel.firm_idx,
+        panel.period, panel.log_wage, np.empty((panel.n_obs, 0)), ()))
+    cells = design.cells  # the (worker, firm) cells
+    X = panel.covariates
+    resid = X - (cells.sums(X) / cells.counts[:, None])[cells.inverse]
     scale = np.maximum(1.0, np.abs(X).max(axis=0))
     flat = np.flatnonzero(np.abs(resid).max(axis=0) <= tol * scale)
     if flat.size:
         raise CollinearCovariateError(int(flat[0]), panel.covariate_names[flat[0]])
     if not _dependent_columns(resid, tol).size:
         return
-    design = Design(Panel._from_sorted(  # the worker and firm indicators alone
-        panel.worker_ids, panel.firm_ids, panel.worker_idx, panel.firm_idx,
-        panel.period, panel.log_wage, np.empty((panel.n_obs, 0)), ()))
-    fit, _ = design.solve_cg(design.apply_T(panel.covariates))
+    fit, _ = design.solve_cg(design.apply_T(X))
     # the solve's error, not the data, sets how small a dependent residual gets
-    dependent = _dependent_columns(panel.covariates - design.apply(fit), np.sqrt(tol))
+    dependent = _dependent_columns(X - design.apply(fit), np.sqrt(tol))
     if dependent.size:
         names = ", ".join(repr(panel.covariate_names[k]) for k in dependent)
         raise DataError(

@@ -83,8 +83,9 @@ class Estimates:
 
     @cached_property
     def design(self) -> Design:
-        """The estimation panel's Design, built on first use and shared by every
-        correction of this fit."""
+        """The estimation panel's Design, shared by every correction of this
+        fit: the one a conjugate-gradient fit solved on, built on first use
+        for the other methods."""
         return Design(self.panel)
 
     def alpha_of(self, worker_id: str) -> float:
@@ -212,7 +213,9 @@ def _estimate_cg(panel: Panel, config: SolverConfig) -> Estimates:
     alpha = phi[design.alpha_slice]
     psi = np.concatenate([phi[design.psi_slice], [0.0]])
     beta = phi[design.beta_slice]
-    return _finish(panel, alpha, psi, beta, config, iters, rtol)
+    est = _finish(panel, alpha, psi, beta, config, iters, rtol)
+    vars(est)["design"] = design  # what the cached property would hold
+    return est
 
 
 def _estimate_dense(panel: Panel, config: SolverConfig) -> Estimates:

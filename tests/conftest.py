@@ -65,6 +65,21 @@ def random_connected_panel(
     )
 
 
+def repeated_cell_panel(rng, n_covariates, n_firms=4):
+    """Random connected panel in which every third row appears again in a
+    later period with the same worker, firm and covariate row."""
+    base = random_connected_panel(rng, n_workers=18, n_firms=n_firms, n_covariates=n_covariates)
+    extra = np.arange(0, base.n_obs, 3)
+    rows = np.concatenate([np.arange(base.n_obs), extra])
+    return Panel(
+        worker=[base.worker_ids[i] for i in base.worker_idx[rows]],
+        firm=[base.firm_ids[j] for j in base.firm_idx[rows]],
+        period=np.concatenate([base.period, base.period[extra] + 100]),
+        log_wage=base.log_wage[rows],
+        covariates=base.covariates[rows],
+    )
+
+
 def dense_lstsq_solution(panel):
     """Independent dense least-squares oracle: one-hot design built from
     scratch, solved with lstsq, renormalized to mean-zero firm effects."""

@@ -275,6 +275,41 @@ class TestPipelineInMemory:
         assert (len(loads), len(graphs), len(fits)) == (1, 1, 2)
 
 
+class TestFlags:
+    @pytest.mark.parametrize("command", cli.COMMANDS)
+    def test_threads_only_on_subsample(self, command):
+        """--threads is read by subsample alone, so no other command takes it."""
+        argv = [command, "--out", "o", "--threads", "2"]
+        if command == "subsample":
+            assert cli._build_parser().parse_args(argv).threads == 2
+        else:
+            with pytest.raises(SystemExit):
+                cli._build_parser().parse_args(argv)
+
+    def test_correct_honours_set_file(self, tmp_path):
+        """Run alone, `correct --set` fits the set the file lists, not the
+        largest set, and so gives the plug-in of `estimate --set`."""
+        panel, _ = simulate_panel(SimConfig(
+            n_workers=400, n_firms=60, n_periods=2, movers_share=0.1, seed=3))
+        raw = str(tmp_path / "panel.csv")
+        write_panel(panel, raw)
+        conn = tmp_path / "conn"
+        assert run_cli("connect", "--panel", raw, "--kind", "both", "--out", str(conn)) == 0
+        set_file = str(conn / "leave_one_out_set.csv")
+        listed = read_json(conn / "leave_one_out_set_summary.json")
+        largest = read_json(conn / "connected_set_summary.json")
+        assert listed["n_workers_kept"] < largest["n_workers_kept"]
+
+        out = tmp_path / "c"
+        assert run_cli("correct", "--panel", raw, "--set", set_file, "--out", str(out)) == 0
+        kept = read_json(out / "corrected_homoskedastic_trace.json")["estimation_set"]
+        assert (kept["n_workers_kept"], kept["n_firms_kept"]) == (
+            listed["n_workers_kept"], listed["n_firms_kept"])
+        dec = tmp_path / "d"
+        assert run_cli("decompose", "--panel", raw, "--set", set_file, "--out", str(dec)) == 0
+        assert read_json(out / "plug_in.json") == read_json(dec / "decomposition.json")
+
+
 class TestCorrectAndDiagnostics:
     def test_correct_outputs_schema(self, tmp_path):
         cfg = tmp_path / "cfg.json"

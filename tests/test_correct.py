@@ -30,7 +30,7 @@ from twowayfe.correct import (
 )
 from twowayfe.design import Design
 
-from conftest import random_connected_panel
+from conftest import random_connected_panel, repeated_cell_panel
 
 
 def dense_pieces(panel):
@@ -73,6 +73,22 @@ def loo_estimated(seed=0, **cfg_kwargs):
     est_panel = restrict_panel(panel, loo.workers, loo.firms)
     est = estimate(est_panel, None, SolverConfig(method="conjugate_gradient"))
     return panel, truth, loo, est_panel, est
+
+
+def test_one_design_per_conjugate_gradient_fit(monkeypatch):
+    """Both exact corrections of a CG fit run on the Design its solve built."""
+    built = []
+    init = Design.__init__
+
+    def counted(self, panel):
+        built.append(panel)
+        init(self, panel)
+
+    monkeypatch.setattr(Design, "__init__", counted)
+    _, _, _, est_panel, est = loo_estimated(seed=4)
+    for method in ("leave_out", "homoskedastic_trace"):
+        corrected_decomposition(est_panel, est, method, backend="exact")
+    assert len(built) == 1 and est.design.panel is built[0]
 
 
 # each correction's component, its decomposition key and the key's scale
@@ -374,23 +390,6 @@ class TestCorrectedDecomposition:
             with pytest.raises(ConfigError, match="unknown backend 'mystery'"):
                 corrected_decomposition(exactfit_panel, est, method, backend="mystery")
         assert solves == []
-
-
-def repeated_cell_panel(rng, n_covariates, n_firms=4):
-    """Random connected panel in which every third row appears again in a
-    later period with the same worker, firm and covariate row."""
-    from twowayfe import Panel
-
-    base = random_connected_panel(rng, n_workers=18, n_firms=n_firms, n_covariates=n_covariates)
-    extra = np.arange(0, base.n_obs, 3)
-    rows = np.concatenate([np.arange(base.n_obs), extra])
-    return Panel(
-        worker=[base.worker_ids[i] for i in base.worker_idx[rows]],
-        firm=[base.firm_ids[j] for j in base.firm_idx[rows]],
-        period=np.concatenate([base.period, base.period[extra] + 100]),
-        log_wage=base.log_wage[rows],
-        covariates=base.covariates[rows],
-    )
 
 
 class TestCellTable:

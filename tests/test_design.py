@@ -5,11 +5,11 @@ import scipy.linalg
 from twowayfe import NumericalError, Panel
 from twowayfe.design import Design
 
-from conftest import random_connected_panel
+from conftest import random_connected_panel, repeated_cell_panel
 
 
-def dense_normal_matrix(panel):
-    """S = D'D from a dense one-hot design D built from scratch."""
+def dense_design(panel):
+    """The dense one-hot design D, built from scratch."""
     n, W, F, K = panel.n_obs, panel.n_workers, panel.n_firms, panel.covariate_count
     D = np.zeros((n, W + F - 1 + K))
     D[np.arange(n), panel.worker_idx] = 1.0
@@ -17,7 +17,33 @@ def dense_normal_matrix(panel):
     D[np.flatnonzero(keep), W + panel.firm_idx[keep]] = 1.0
     if K:
         D[:, W + F - 1 :] = panel.covariates
+    return D
+
+
+def dense_normal_matrix(panel):
+    """S = D'D from the dense design."""
+    D = dense_design(panel)
     return D.T @ D
+
+
+class TestProducts:
+    @pytest.mark.parametrize("n_covariates", (0, 2))
+    def test_apply_and_transpose_match_dense_design(self, n_covariates):
+        """D phi and D'v, formed on the cells, for (n,) and (n, k) inputs on a
+        panel whose rows share cells."""
+        rng = np.random.default_rng(10 + n_covariates)
+        panel = repeated_cell_panel(rng, n_covariates)
+        design = Design(panel)
+        assert design.cells.size < panel.n_obs
+        D = dense_design(panel)
+        for shape in ((), (3,)):
+            phi = rng.normal(size=(design.p,) + shape)
+            v = rng.normal(size=(panel.n_obs,) + shape)
+            fitted, summed = design.apply(phi), design.apply_T(v)
+            assert fitted.shape == (panel.n_obs,) + shape
+            assert summed.shape == (design.p,) + shape
+            np.testing.assert_allclose(fitted, D @ phi, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(summed, D.T @ v, rtol=0, atol=1e-12)
 
 
 class TestBatchedCG:
