@@ -74,13 +74,13 @@ def run(backend: str, method: str) -> dict:
         "m": design.F - 1 + design.K,
     }
     if design.exact_table is not None:
-        leverage = design.exact_table[0]
-        cells = np.unique(est_panel.worker_idx * est_panel.n_firms + est_panel.firm_idx)
-        cells_per_worker = np.bincount(cells // est_panel.n_firms, minlength=est_panel.n_workers)
+        leverage = design.exact_table[0]  # per cell
+        cells = design.cells
+        cells_per_worker = np.bincount(cells.worker_idx, minlength=design.W)
         result.update(
-            cells=int(cells.size),
-            mover_cells=int((cells_per_worker[cells // est_panel.n_firms] > 1).sum()),
-            leverage_sum_minus_rank=float(leverage.sum() - design.p),
+            cells=cells.size,
+            mover_cells=int((cells_per_worker[cells.worker_idx] > 1).sum()),
+            leverage_sum_minus_rank=float(cells.counts @ leverage - design.p),
             max_leverage=float(leverage.max()),
         )
     if backend == "stochastic":

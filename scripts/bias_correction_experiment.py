@@ -7,6 +7,7 @@ the truth, under homoskedastic or firm-size-coupled heteroskedastic noise.
 """
 
 import argparse
+import sys
 
 import numpy as np
 
@@ -56,7 +57,7 @@ def one_replication(seed, args):
     return ho.plug_in, ho.corrected, lo.corrected, true_vp
 
 
-def main():
+def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--replications", type=int, default=50)
     parser.add_argument("--workers", type=int, default=3000)
@@ -65,7 +66,7 @@ def main():
     parser.add_argument("--sigma2", type=float, default=0.05)
     parser.add_argument("--var-psi", type=float, default=0.02)
     parser.add_argument("--heteroskedastic", action="store_true")
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
 
     rows = np.array([one_replication(s, args) for s in range(args.replications)])
     plug, homo, leave, truth = rows.T
@@ -77,7 +78,8 @@ def main():
         se = gap.std(ddof=1) / np.sqrt(len(gap))
         print(f"{name:<24}{vals.mean():>10.5f}{gap.mean():>10.5f}{gap.mean() / se:>8.1f}")
     print(f"{'truth (mean over sets)':<24}{truth.mean():>10.5f}")
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -10,6 +10,8 @@ seeds, and outputs. Exit codes: 0 success, 2 config error, 3 data error,
 from __future__ import annotations
 
 import argparse
+import contextlib
+import csv
 import functools
 import hashlib
 import json
@@ -54,17 +56,24 @@ COMMANDS = (
 # -- atomic artifact plumbing -------------------------------------------
 
 
-def _atomic_write(path: str, text: str) -> None:
-    directory = os.path.dirname(path) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-")
+@contextlib.contextmanager
+def _atomic_path(path: str):
+    """A temporary file beside `path` for the block to write, renamed onto
+    `path` when the block returns and removed when it raises."""
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path) or ".", prefix=".tmp-")
+    os.close(fd)
     try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        yield tmp
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def _atomic_write(path: str, text: str) -> None:
+    with _atomic_path(path) as tmp, open(tmp, "w", encoding="utf-8") as fh:
+        fh.write(text)
 
 
 def _write_json(path: str, obj) -> None:
@@ -74,9 +83,12 @@ def _write_json(path: str, obj) -> None:
 
 
 def _write_rows(path: str, header, rows, delimiter=",") -> None:
-    lines = [delimiter.join(str(h) for h in header)]
-    lines += [delimiter.join(str(v) for v in row) for row in rows]
-    _atomic_write(path, "\n".join(lines) + "\n")
+    """CSV rows, a field quoted only where it holds the delimiter, a quote or
+    a line break, so rows of plain ids are the fields joined by `delimiter`."""
+    with _atomic_path(path) as tmp, open(tmp, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh, delimiter=delimiter, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def _digest(path: str) -> str:
@@ -168,24 +180,26 @@ def _read_panel(config: dict) -> Panel:
 
 
 def _read_set(path: str) -> ConnectedSet:
+    """The set a membership file from `connect` lists. The file does not
+    record which kind of set it holds, so its kind is "membership_file"."""
     if not os.path.exists(path):
         raise ConfigError(f"connected-set file not found: {path}")
     firms, workers = set(), set()
-    with open(path, encoding="utf-8") as fh:
-        header = fh.readline()
-        if not header.startswith("entity_type"):
+    with open(path, encoding="utf-8", newline="") as fh:
+        rows = csv.reader(fh)
+        if next(rows, [])[:1] != ["entity_type"]:
             raise ConfigError(f"not a membership file: {path}")
-        for line in fh:
-            entity, ext_id = line.rstrip("\n").split(",", 1)
+        for row in rows:
+            if len(row) != 2:
+                raise DataError(f"membership file {path}: line {rows.line_num} is not 2 fields")
+            entity, ext_id = row
             if entity == "firm":
                 firms.add(ext_id)
             elif entity == "worker":
                 workers.add(ext_id)
     if not firms or not workers:
         raise DataError(f"membership file {path} lists no firms or no workers")
-    return ConnectedSet(
-        firms=frozenset(firms), workers=frozenset(workers), kind="largest_connected"
-    )
+    return ConnectedSet(firms=frozenset(firms), workers=frozenset(workers), kind="membership_file")
 
 
 # -- per-command artifact writers ------------------------------------------
@@ -252,7 +266,8 @@ def cmd_validate(config: dict, out_dir: str) -> Panel:
     panel, report = load_panel(
         config.get("panel", ""), _schema(config), config.get("delimiter", ",")
     )
-    write_panel(panel, run.path("panel.csv"), config.get("delimiter", ","))
+    with _atomic_path(run.path("panel.csv")) as tmp:
+        write_panel(panel, tmp, config.get("delimiter", ","))
     _write_json(run.path("validation_report.json"), report.to_json_dict())
     run.finish()
     return panel
@@ -416,7 +431,8 @@ def cmd_simulate(config: dict, out_dir: str) -> None:
     except TypeError as exc:
         raise ConfigError(f"bad simulate config: {exc}") from exc
     panel, truth = simulate_panel(sim_config)
-    write_panel(panel, run.path("panel.csv"))
+    with _atomic_path(run.path("panel.csv")) as tmp:
+        write_panel(panel, tmp)
     rows = [("worker", w, repr(float(a))) for w, a in zip(truth.worker_ids, truth.alpha)]
     rows += [("firm", f, repr(float(p))) for f, p in zip(truth.firm_ids, truth.psi)]
     _write_rows(run.path("truth.csv"), ("entity_type", "external_id", "effect"), rows)

@@ -18,21 +18,21 @@ leave_out : allows unrestricted per-observation variances. The bias equals
     leave-one-out residual product. Requires every leverage P_oo < 1, i.e. a
     leave-one-out connected estimation set.
 
-Since sum_o x_o x_o' = S, the homoskedastic trace is also sum_o B_oo, so
-both exact corrections read one per-observation (P_oo, B_oo) table.
-
 Each correction runs on an exact backend or a stochastic one (Rademacher
 probes, Schur-space solves) for scale, on the fit's own Design
 (`Estimates.design`: the one a conjugate-gradient fit solved on, so a
-correction builds no second Design). The exact backend builds one table per
-Design, for all components, and keeps it there for every exact correction of
-that fit. Per distinct (worker, firm, covariate row) cell (`Design.cells`) it
-forms y = V t, V the explicit inverse of the m = (F-1+K)-dimensional Schur
-complement of S and t sparse, and every B_oo from sums in that space: O(m^3)
-for V plus O(m * nnz(t)) per mover cell (stayer cells without covariates
-need no product). Memory is one m x m array while the table is built, plus
-chunk * m per block of cells, then 5 floats per observation kept.
-Quadratic-form matrices are never materialized.
+correction builds no second Design). The rows of one distinct (worker, firm,
+covariate row) cell (`Design.cells`) share their P_oo and B_oo, so the exact
+backend builds one (P_c, B_c) table per cell, for all components, keeps it on
+the Design for every exact correction of that fit, and takes each correction
+as one sum over the cells, sum_c B_c w_c: w_c = T_c, the cell's rows, for the
+trace (sum_o x_o x_o' = S, so trace(A S^{-1}) = sum_o B_oo), the cell's sum of
+sigma_o^2 for the leave-out. Per cell it forms y = V t, V the explicit
+inverse of the m = (F-1+K)-dimensional Schur complement of S and t sparse,
+and every B_c from sums in that space: O(m^3) for V plus O(m * nnz(t)) per
+mover cell (stayer cells without covariates need no product). Memory is one
+m x m array while the table is built, plus chunk * m per block of cells,
+then 5 floats per cell kept. Quadratic-form matrices are never materialized.
 
 The stochastic backend works in the same Schur space. The homoskedastic
 trace probes are Rademacher over the m Schur coordinates, O(m) to draw: one
@@ -278,9 +278,9 @@ def _schur_rows(design: Design) -> sp.csr_matrix:
 
 
 def _exact_tables(design: Design, forms: list[QuadraticForm], chunk: int = 512):
-    """Exact leverages P_oo and the B_oo weights of every requested form, per
-    observation, from V = the inverse of the Schur complement, once per
-    distinct (worker, firm, covariate row) cell, `chunk` cells at a time.
+    """Exact leverages P_c and the B_c weights of every requested form, one
+    per distinct (worker, firm, covariate row) cell, whose rows share them,
+    from V = the inverse of the Schur complement, `chunk` cells at a time.
 
     Split u = S^{-1} x_o as (a, y) over the worker block and the firm/covariate
     block G of D: y = V t for t = g_o - contact_w / d_w, nonzero only on the
@@ -322,19 +322,19 @@ def _exact_tables(design: Design, forms: list[QuadraticForm], chunk: int = 512):
         "cov_alpha_psi": (sap - sa * sp / n) / n,
     }
     b["var_alpha_plus_psi"] = b["var_alpha"] + b["var_psi"] + 2.0 * b["cov_alpha_psi"]
-    return lev[cells.inverse], {f.component: b[f.component][cells.inverse] for f in forms}
+    return lev, {f.component: b[f.component] for f in forms}
 
 
 def _exact_table(design: Design):
-    """(P_oo, {component: B_oo}) of every component, built once per design."""
+    """Per cell, (P_c, {component: B_c}) of every component, built once per design."""
     if design.exact_table is None:
         design.exact_table = _exact_tables(design, [QuadraticForm(c, design) for c in COMPONENTS])
     return design.exact_table
 
 
 def exact_trace_quadratic(form: QuadraticForm) -> float:
-    """trace(A S^{-1}) = sum_o B_oo, since sum_o x_o x_o' = S."""
-    return float(_exact_table(form.design)[1][form.component].sum())
+    """trace(A S^{-1}) = sum_o B_oo = sum_c B_c T_c, since sum_o x_o x_o' = S."""
+    return float(_exact_table(form.design)[1][form.component] @ form.design.cells.counts)
 
 
 _ALL_BITS = np.uint64(0xFFFF_FFFF_FFFF_FFFF)
@@ -467,26 +467,23 @@ def compute_leverages(
     form = QuadraticForm(component=component, design=design)
     if backend == "exact":
         lev, weights = _exact_table(design)
-        return LeverageTable(
-            leverage=lev,
-            component_weight=weights[component],
-            component=component,
-            backend=backend,
-        )
-    rng = np.random.default_rng(seed)
-    T = _schur_rows(design)
-    solve = _schur_solver(design, cg_tol)
-    lev = _stochastic_leverages(design, T, probes, rng, solve)
-    # per probe, the weight product averages to n * B_oo (Rademacher coordinates
-    # are independent)
-    left, right = form.blocks
-    bw = np.zeros(design.cells.size)
-    for maps in _cell_maps([form], T, probes, rng, solve):
-        bw += np.einsum("ij,ij->i", maps[left], maps[right])
-    bw = bw[design.cells.inverse] / (probes * design.n)
+        bw, probes = weights[component], 0
+    else:
+        rng = np.random.default_rng(seed)
+        T = _schur_rows(design)
+        solve = _schur_solver(design, cg_tol)
+        lev = _stochastic_leverages(design, T, probes, rng, solve)
+        # per probe, the weight product averages to n * B_oo (Rademacher
+        # coordinates are independent)
+        left, right = form.blocks
+        bw = np.zeros(design.cells.size)
+        for maps in _cell_maps([form], T, probes, rng, solve):
+            bw += np.einsum("ij,ij->i", maps[left], maps[right])
+        bw /= probes * design.n
+    inverse = design.cells.inverse  # a cell's rows share its values
     return LeverageTable(
-        leverage=lev[design.cells.inverse],
-        component_weight=bw,
+        leverage=lev[inverse],
+        component_weight=bw[inverse],
         component=component,
         backend=backend,
         probes_used=probes,
@@ -499,38 +496,13 @@ def _sigma2(estimates: Estimates) -> float:
     return estimates.rss / estimates.dof
 
 
-def _result(form: QuadraticForm, plug_in: float, correction: float, method: str,
-            backend: str, **stochastic) -> CorrectionResult:
-    return CorrectionResult(
-        component=form.component,
-        plug_in=plug_in,
-        correction=correction,
-        corrected=plug_in - correction,
-        method=method,
-        backend=backend,
-        **stochastic,
-    )
-
-
-def _exact_corrections(estimates: Estimates, forms: list[QuadraticForm], method: str,
-                       plug_in: dict) -> dict:
-    """Either exact correction for several forms from one (P_oo, B_oo) table:
-    sigma2hat * sum_o B_oo under homoskedasticity, sum_o B_oo sigma2_o with
-    leave-one-out sigma2_o otherwise. `plug_in` maps each component to its
-    plug-in value (`_plug_ins`)."""
-    design = forms[0].design
-    sigma2 = _sigma2(estimates) if method == "homoskedastic_trace" else None
-    lev, weights = _exact_table(design)
-    if sigma2 is None:
-        _require_below_one(lev)
-        sigma2_obs = design.panel.log_wage * estimates.residuals / (1.0 - lev)
-        bias = {f.component: float(weights[f.component] @ sigma2_obs) for f in forms}
-    else:
-        bias = {f.component: sigma2 * float(weights[f.component].sum()) for f in forms}
-    return {
-        f.component: _result(f, plug_in[f.component], bias[f.component], method, "exact")
-        for f in forms
-    }
+def _leave_out_sums(design: Design, estimates: Estimates, lev: np.ndarray,
+                    probes: int | None = None) -> np.ndarray:
+    """Per cell, sum_{o in c} y_o resid_o / (1 - P_c): the sum of its rows'
+    leave-one-out variances sigma2_o, the rows sharing the cell's leverage
+    P_c, exact or (from `probes` probes) a JLA estimate."""
+    _require_below_one(lev, probes)
+    return design.cells.sums(design.panel.log_wage * estimates.residuals) / (1.0 - lev)
 
 
 def _leave_out_probes(estimates: Estimates, forms: list[QuadraticForm], probes: int,
@@ -542,9 +514,7 @@ def _leave_out_probes(estimates: Estimates, forms: list[QuadraticForm], probes: 
     design = forms[0].design
     T = _schur_rows(design)
     lev = _stochastic_leverages(design, T, probes, rng, solve)
-    _require_below_one(lev, probes)
-    # a cell's rows share its leverage
-    sigma2_cell = design.cells.sums(design.panel.log_wage * estimates.residuals) / (1.0 - lev)
+    sigma2_cell = _leave_out_sums(design, estimates, lev, probes)
     vals = {f.component: [] for f in forms}
     for maps in _cell_maps(forms, T, probes, rng, solve):
         for f in forms:
@@ -554,39 +524,48 @@ def _leave_out_probes(estimates: Estimates, forms: list[QuadraticForm], probes: 
     return {c: np.concatenate(v) for c, v in vals.items()}
 
 
-def _stochastic_corrections(estimates: Estimates, forms: list[QuadraticForm], method: str,
-                            plug_in: dict, probes: int, seed: int, cg_tol: float) -> dict:
-    """Either stochastic correction for several forms from one probe stream of
-    default_rng(seed): every form reads the same probes, so a decomposition
-    pays for its solves once, and each form's mc_stderr is the standard error
-    of its own per-probe values (the forms' errors are correlated). Every
-    solve of the call runs one solver (`_schur_solver`). `plug_in` maps each
-    component to its plug-in value (`_plug_ins`)."""
-    rng = np.random.default_rng(seed)
-    solve = _schur_solver(forms[0].design, cg_tol)
-    if method == "homoskedastic_trace":
-        scale = _sigma2(estimates)
-        vals = _trace_probes(forms, probes, rng, solve)
-    else:
-        scale = 1.0  # the leave-out values already carry each sigma2_o
-        vals = _leave_out_probes(estimates, forms, probes, rng, solve)
-    return {
-        f.component: _result(
-            f, plug_in[f.component], scale * float(vals[f.component].mean()), method, "stochastic",
-            probes_used=probes, seed=seed, mc_stderr=scale * _stderr(vals[f.component]),
-        )
-        for f in forms
-    }
-
-
 def _corrections(estimates: Estimates, forms: list[QuadraticForm], method: str, backend: str,
                  plug: Decomposition, probes: int, seed: int, cg_tol: float) -> dict:
     """The forms' CorrectionResults, plug-ins read from `plug`, the plug-in
-    decomposition of the fit."""
-    plug_in = _plug_ins(plug)
+    decomposition of the fit. A form's correction is the mean of its values,
+    times sigma2hat for the homoskedastic trace: on the exact backend one
+    value, sum_c B_c w_c over the cells' table (w_c = T_c for the trace, the
+    cell's sum of sigma2_o for the leave-out); on the stochastic backend one
+    per probe of the stream default_rng(seed), shared by every form, so a
+    decomposition pays for its solves once, and each form's mc_stderr is the
+    standard error of its own values (the forms' errors are correlated)."""
+    design = forms[0].design
+    homoskedastic = method == "homoskedastic_trace"
+    scale = _sigma2(estimates) if homoskedastic else 1.0  # leave-out values carry each sigma2_o
     if backend == "exact":
-        return _exact_corrections(estimates, forms, method, plug_in)
-    return _stochastic_corrections(estimates, forms, method, plug_in, probes, seed, cg_tol)
+        lev, weights = _exact_table(design)
+        w = design.cells.counts if homoskedastic else _leave_out_sums(design, estimates, lev)
+        vals = {f.component: np.array([weights[f.component] @ w]) for f in forms}
+        stochastic = {}
+    else:
+        rng = np.random.default_rng(seed)
+        solve = _schur_solver(design, cg_tol)  # every solve of the call
+        if homoskedastic:
+            vals = _trace_probes(forms, probes, rng, solve)
+        else:
+            vals = _leave_out_probes(estimates, forms, probes, rng, solve)
+        stochastic = {"probes_used": probes, "seed": seed}
+    plug_in = _plug_ins(plug)
+    results = {}
+    for f in forms:
+        v = vals[f.component]
+        correction = scale * float(v.mean())
+        results[f.component] = CorrectionResult(
+            component=f.component,
+            plug_in=plug_in[f.component],
+            correction=correction,
+            corrected=plug_in[f.component] - correction,
+            method=method,
+            backend=backend,
+            mc_stderr=scale * _stderr(v) if v.size > 1 else 0.0,
+            **stochastic,
+        )
+    return results
 
 
 def _check_backend(backend: str, probes: int) -> None:

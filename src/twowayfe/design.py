@@ -103,7 +103,7 @@ class Design:
         self.g_firm = np.bincount(panel.firm_idx, minlength=self.F).astype(np.float64)
         weighted = sp.diags(self.cells.counts) @ self.cells.g_mat
         self.contact = (self.cells.worker_mat.T @ weighted).tocsr()  # W x (F-1+K)
-        self.exact_table = None  # (P_oo, {component: B_oo}), see correct._exact_table
+        self.exact_table = None  # per cell (P_c, {component: B_c}), see correct._exact_table
 
     # -- block slices ----------------------------------------------------
     @property

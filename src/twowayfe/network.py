@@ -62,7 +62,7 @@ class ConnectedSet:
 
     firms: frozenset
     workers: frozenset
-    kind: str  # "largest_connected" or "leave_one_out"
+    kind: str  # "largest_connected", "leave_one_out", or "membership_file" (read by the CLI)
 
     @property
     def n_firms(self) -> int:

@@ -1,10 +1,12 @@
+import csv
 import json
 import os
 import sys
 
+import numpy as np
 import pytest
 
-from twowayfe import SimConfig, simulate_panel, write_panel
+from twowayfe import Panel, SimConfig, simulate_panel, write_panel
 from twowayfe import cli
 from twowayfe.cli import main
 
@@ -305,9 +307,71 @@ class TestFlags:
         kept = read_json(out / "corrected_homoskedastic_trace.json")["estimation_set"]
         assert (kept["n_workers_kept"], kept["n_firms_kept"]) == (
             listed["n_workers_kept"], listed["n_firms_kept"])
+        # the file does not record that `connect` wrote the leave-one-out set there
+        assert listed["kind"] == "leave_one_out" and kept["kind"] == "membership_file"
         dec = tmp_path / "d"
         assert run_cli("decompose", "--panel", raw, "--set", set_file, "--out", str(dec)) == 0
         assert read_json(out / "plug_in.json") == read_json(dec / "decomposition.json")
+
+
+class TestArtifacts:
+    def test_ids_holding_the_delimiter_or_a_quote(self, tmp_path):
+        """Such ids are quoted in every CSV artifact and read back whole from
+        a membership file."""
+        sim, _ = simulate_panel(SimConfig(n_workers=200, n_firms=20, n_periods=2, seed=1))
+        firm_ids = np.array([f'firm "{j}", inc' for j in range(sim.n_firms)], dtype=object)
+        panel = Panel(np.array(sim.worker_ids, dtype=object)[sim.worker_idx],
+                      firm_ids[sim.firm_idx], sim.period, sim.log_wage)
+        raw = str(tmp_path / "panel.csv")
+        write_panel(panel, raw)
+        conn = tmp_path / "conn"
+        assert run_cli("connect", "--panel", raw, "--kind", "both", "--out", str(conn)) == 0
+        out = tmp_path / "e"
+        set_file = str(conn / "connected_set.csv")
+        assert run_cli("estimate", "--panel", raw, "--set", set_file, "--out", str(out)) == 0
+        for name in (conn / "connected_set.csv", out / "psi.csv"):
+            with open(name, newline="", encoding="utf-8") as fh:
+                rows = list(csv.reader(fh))
+            assert {len(row) for row in rows} == {2}, name
+        firms = [row[0] for row in rows[1:]]  # psi.csv
+        assert len(firms) == read_json(conn / "connected_set_summary.json")["n_firms_kept"]
+        assert set(firms) <= set(firm_ids)
+
+    @pytest.mark.parametrize(
+        "content, code, kind",
+        [
+            (None, cli.EXIT_CONFIG, "config"),
+            ("worker,firm\nw1,f1\n", cli.EXIT_CONFIG, "config"),
+            ("entity_type,external_id\nfirm,f1\nfirm,f2\n", cli.EXIT_DATA, "data"),
+            ("entity_type,external_id\nworker,w1\n", cli.EXIT_DATA, "data"),
+            ("entity_type,external_id\nfirm,f1,f2\nworker,w1\n", cli.EXIT_DATA, "data"),
+        ],
+        ids=["missing", "wrong_header", "no_workers", "no_firms", "three_fields"],
+    )
+    def test_membership_file_errors(self, tmp_path, fixture_file, capsys, content, code, kind):
+        set_file = tmp_path / "set.csv"
+        if content is not None:
+            set_file.write_text(content)
+        argv = ("estimate", "--panel", fixture_file, "--set", str(set_file), "--out", str(tmp_path / "e"))
+        assert run_cli(*argv) == code
+        error = json.loads(capsys.readouterr().out)["error"]
+        assert error["kind"] == kind and str(set_file) in error["message"]
+
+    @pytest.mark.parametrize("command", ("validate", "simulate"))
+    def test_failed_panel_write_leaves_no_panel_file(self, tmp_path, fixture_file, monkeypatch,
+                                                     command):
+        def failing(panel, path, delimiter=","):
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write("worker,firm,period,log_wage\n")
+            raise OSError("disk full")
+
+        monkeypatch.setattr(cli, "write_panel", failing)
+        cfg = tmp_path / "sim.json"
+        cfg.write_text(json.dumps({"n_workers": 30, "n_firms": 4, "seed": 1}))
+        out = tmp_path / "o"
+        with pytest.raises(OSError, match="disk full"):
+            run_cli(command, "--panel", fixture_file, "--config", str(cfg), "--out", str(out))
+        assert os.listdir(out) == []
 
 
 class TestCorrectAndDiagnostics:
