@@ -3,8 +3,9 @@
 
 Simulates the criterion-13 panel (100k workers, 10k firms, T=10, seed 99),
 extracts the connected set that `--method` runs on in the CLI's `pipeline`
-(the leave-one-out set for leave_out, the default; the largest set for
-homoskedastic_trace), fits it by conjugate gradient, and times one
+(the leave-one-out set for leave_out, the default, whose extraction is timed
+as `loo_set_seconds`; the largest set for homoskedastic_trace), fits it by
+conjugate gradient, and times one
 `corrected_decomposition` on that fit with the chosen backend (exact, the
 exact leave-out (P_oo, B_oo) table included, or stochastic at its default
 probes and seed). The result is stored under `--label` in a JSON file, by
@@ -51,10 +52,12 @@ def _peak_rss_mb() -> float:
 def run(backend: str, method: str) -> dict:
     panel, _ = tw.simulate_panel(tw.SimConfig(**CRITERION_13))
     graph = tw.build_graph(panel)
+    t0 = time.perf_counter()
     if method == "leave_out":
         conn = tw.leave_one_out_connected_set(graph, panel)
     else:
         conn = tw.largest_connected_set(graph)
+    set_seconds = time.perf_counter() - t0
     est_panel = tw.restrict_panel(panel, conn.workers, conn.firms)
     est = tw.estimate(est_panel, None, tw.SolverConfig(method="conjugate_gradient"))
     setup_peak = _peak_rss_mb()
@@ -83,6 +86,8 @@ def run(backend: str, method: str) -> dict:
             leverage_sum_minus_rank=float(cells.counts @ leverage - design.p),
             max_leverage=float(leverage.max()),
         )
+    if method == "leave_out":
+        result["loo_set_seconds"] = round(set_seconds, 3)
     if backend == "stochastic":
         result.update(probes=tw.correct.DEFAULT_PROBES, seed=0)
     result["corrected"] = {k: float(v) for k, v in dec.components.items()}

@@ -343,8 +343,7 @@ def cmd_correct(config: dict, out_dir: str, *, panel=None, conn=None, fit=None) 
     out["probes"] = probes if backend == "stochastic" else 0
     out["seed"] = seed
     _write_json(run.path(f"corrected_{method}.json"), out)
-    plug = decompose_variance(est.panel, est)
-    _write_json(run.path("plug_in.json"), plug.to_json_dict())
+    _write_json(run.path("plug_in.json"), dec.plug_in.to_json_dict())
     run.finish()
 
 

@@ -72,7 +72,7 @@ component minus the correction.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.linalg
@@ -655,7 +655,8 @@ def corrected_decomposition(
     the chosen method; the residual is recomputed as total minus the corrected
     systematic components so additivity is preserved by construction. Its
     `mc_stderr` holds each corrected component's Monte Carlo standard error
-    (twice the covariance's for cov2; zeros on the exact backend)."""
+    (twice the covariance's for cov2; zeros on the exact backend), `plug_in`
+    the decomposition it corrects."""
     if method not in ("homoskedastic_trace", "leave_out"):
         raise ConfigError(f"unknown correction method {method!r}")
     _check_backend(backend, probes)
@@ -685,4 +686,5 @@ def corrected_decomposition(
                 stacklevel=2,
             )
     flavor = "homoskedastic_corrected" if method == "homoskedastic_trace" else "leave_out_corrected"
-    return Decomposition.from_components(components, flavor, total=plug.total, mc_stderr=mc_stderr)
+    dec = Decomposition.from_components(components, flavor, total=plug.total, mc_stderr=mc_stderr)
+    return replace(dec, plug_in=plug)

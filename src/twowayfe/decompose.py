@@ -58,6 +58,8 @@ class Decomposition:
     # Monte Carlo standard error of each bias-corrected component (0.0 for an
     # exact correction); empty for an uncorrected decomposition
     mc_stderr: dict = field(default_factory=dict)
+    # the plug-in decomposition a corrected one was built from, else None
+    plug_in: Decomposition | None = field(default=None, compare=False, repr=False)
 
     @classmethod
     def from_components(cls, components: dict, flavor: str = "plug_in",

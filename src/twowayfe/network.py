@@ -10,22 +10,23 @@ single worker, which is what gives every observation a regression leverage
 strictly below one and makes the heteroskedastic-robust bias correction
 feasible.
 
-Everything here reads one primitive: the binary worker x firm incidence A
-(CSR, one nonzero per distinct (worker, firm) pair). Edges and mover counts
-are triu(A'A, 1); components come from scipy's `connected_components` on
-the bipartite graph of A. Building A sorts the pairs, so a component pass
-costs O(n log n + edges) for n observations. Articulation workers of the
-leave-one-out set are found by one iterative Hopcroft-Tarjan low-point pass,
-a Python loop over the movers' (worker, firm) pairs only.
+Everything here reads one primitive: the worker x firm incidence A (CSR, one
+nonzero per distinct (worker, firm) pair, built in O(n log n) for n
+observations). Edges and mover counts are triu(A'A, 1); components come from
+scipy's `connected_components` on the bipartite graph of A. The leave-one-out
+set masks A, with observation counts, by keep vectors over workers and firms,
+so each of its steps costs O(pairs); its articulation workers come from low
+points over scipy's depth-first forest, one Python pass over its nodes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.csgraph import connected_components
+from scipy.sparse.csgraph import connected_components, depth_first_order
 
 from .errors import DataError
 from .panel import Panel
@@ -73,17 +74,19 @@ class ConnectedSet:
         return len(self.workers)
 
 
-def worker_firm_incidence(panel: Panel, keep: np.ndarray | None = None) -> sp.csr_matrix:
-    """Binary W x F incidence of the panel's observations (those where `keep`
-    is true, if given): entry (w, j) is 1 iff worker w is observed at firm j.
-    Row w lists w's distinct firms in ascending order."""
-    widx, fidx = panel.worker_idx, panel.firm_idx
-    if keep is not None:
-        widx, fidx = widx[keep], fidx[keep]
-    ones = np.ones(len(widx), dtype=np.int64)
-    inc = sp.csr_matrix((ones, (widx, fidx)), shape=(panel.n_workers, panel.n_firms))
-    inc.data[:] = 1  # the CSR conversion summed repeated (worker, firm) rows
-    return inc
+def _pair_counts(panel: Panel) -> sp.csr_matrix:
+    """W x F count of the panel's observations per (worker, firm) pair. Row w
+    lists w's distinct firms in ascending order."""
+    ones = np.ones(panel.n_obs, dtype=np.int64)
+    return sp.csr_matrix(
+        (ones, (panel.worker_idx, panel.firm_idx)), shape=(panel.n_workers, panel.n_firms)
+    )
+
+
+def worker_firm_incidence(panel: Panel) -> sp.csr_matrix:
+    """Binary W x F incidence: entry (w, j) is 1 iff worker w is observed at
+    firm j. Row w lists w's distinct firms in ascending order."""
+    return _pair_counts(panel).sign()
 
 
 def _components(incidence: sp.csr_matrix):
@@ -145,8 +148,8 @@ def largest_connected_set(graph: MobilityGraph) -> ConnectedSet:
     """
     wmask, fmask = _pick_component(graph.incidence, graph.obs_per_firm)
     return ConnectedSet(
-        firms=frozenset(graph.firm_ids[j] for j in np.flatnonzero(fmask)),
-        workers=frozenset(graph.worker_ids[w] for w in np.flatnonzero(wmask)),
+        firms=frozenset(compress(graph.firm_ids, fmask.tolist())),
+        workers=frozenset(compress(graph.worker_ids, wmask.tolist())),
         kind="largest_connected",
     )
 
@@ -154,86 +157,75 @@ def largest_connected_set(graph: MobilityGraph) -> ConnectedSet:
 def _cut_movers(incidence: sp.csr_matrix, movers: np.ndarray) -> np.ndarray:
     """Movers that are articulation points of the graph whose nodes are the
     firms and `movers` and whose edges join each mover to the firms they
-    visit (Hopcroft-Tarjan low points, one iterative depth-first search with
-    roots at firm nodes, so it never recurses).
+    visit (Hopcroft-Tarjan low points).
 
-    Nodes 0..F-1 are firms and F+k is movers[k]. A non-root node u is an
-    articulation point iff some DFS child v has low[v] >= disc[u]; roots are
-    firms, so the root rule is never needed.
+    Nodes 0..F-1 are firms, F+k is movers[k], and node F+M points at every
+    firm with an edge, so scipy's `depth_first_order` from it (a true DFS:
+    every non-tree edge joins an ancestor and a descendant) grows one tree
+    per component, rooted at a firm. low[v], the least preorder number next
+    to v's subtree, is one reduceat plus one pass in reverse preorder. A
+    non-root u is an articulation point iff some tree child v has low[v] >=
+    disc[u] (low[v] may be disc[u] through the tree edge); roots are firms,
+    so the root rule is never needed.
     """
     n_f = incidence.shape[1]
     rows = incidence[movers]
+    n = n_f + len(movers)  # the extra node
     adjacency = sp.bmat([[None, rows.T], [rows, None]], format="csr")
-    ptr, adj = adjacency.indptr.tolist(), adjacency.indices.tolist()
-    nxt = ptr[:-1]
-    disc = [-1] * len(nxt)
-    low = [0] * len(nxt)
-    parent = [-1] * len(nxt)
-    cut = np.zeros(len(movers), dtype=bool)
-    clock = 0
-    for root in range(n_f):
-        if disc[root] >= 0:
-            continue
-        disc[root] = low[root] = clock
-        clock += 1
-        stack = [root]
-        while stack:
-            u = stack[-1]
-            i = nxt[u]
-            if i < ptr[u + 1]:
-                nxt[u] = i + 1
-                v = adj[i]
-                if disc[v] < 0:
-                    parent[v] = u
-                    disc[v] = low[v] = clock
-                    clock += 1
-                    stack.append(v)
-                elif disc[v] < low[u]:
-                    # v may be u's parent: low[u] = disc[parent] still
-                    # passes the test low[u] >= disc[parent] below
-                    low[u] = disc[v]
-            else:
-                stack.pop()
-                p = parent[u]
-                if p >= 0:
-                    if low[u] < low[p]:
-                        low[p] = low[u]
-                    if low[u] >= disc[p] and p >= n_f:
-                        cut[p - n_f] = True
-    return movers[cut]
+    linked = np.flatnonzero(np.diff(adjacency.indptr[: n_f + 1]))
+    ptr = np.append(adjacency.indptr, adjacency.nnz + linked.size)
+    indices = np.concatenate([adjacency.indices, linked])
+    forest = sp.csr_matrix((np.ones(ptr[-1]), indices, ptr), shape=(n + 1, n + 1))
+    order, parent = depth_first_order(forest, n, directed=True, return_predecessors=True)
+    disc = np.full(n + 1, n + 1, dtype=np.int64)  # unreached nodes have no edges
+    disc[order] = np.arange(order.size)
+    # reduceat reads past an empty row (into the sentinel at worst): mask those
+    near = np.minimum.reduceat(np.append(disc[forest.indices], n + 1), ptr[:-1])
+    low = np.minimum(disc, np.where(np.diff(ptr) > 0, near, n + 1)).tolist()
+    for v, u in zip(order[:0:-1].tolist(), parent[order[:0:-1]].tolist()):
+        if low[v] < low[u]:
+            low[u] = low[v]
+    up = parent[order[1:]]
+    cut = (up >= n_f) & (up < n) & (np.array(low)[order[1:]] >= disc[up])
+    return movers[np.unique(up[cut]) - n_f]
 
 
 def leave_one_out_connected_set(graph: MobilityGraph, panel: Panel) -> ConnectedSet:
     """Largest subset of the largest connected set that stays connected when
     any single worker's observations are deleted.
 
-    Iterates to a fixed point on a mask over the panel's observations: keep
-    the largest component, drop workers with a single observation (their one
-    row would otherwise carry leverage one), then drop every worker whose
-    deletion disconnects the remaining firms. Articulation workers are found
-    on the auxiliary graph whose nodes are firms plus movers and whose edges
-    join each mover to the firms they visit: deleting a worker splits the
-    firm set exactly when that worker is an articulation point there.
+    Iterates to a fixed point: keep the largest component, drop workers with
+    a single observation (their one row would otherwise carry leverage one),
+    then drop every worker whose deletion disconnects the remaining firms.
+    Each step drops whole workers or whole firms, so it runs on keep vectors
+    over workers and firms that mask the (worker, firm) observation counts,
+    in O(pairs) rather than O(n). Articulation workers are found on the
+    auxiliary graph whose nodes are firms plus movers and whose edges join
+    each mover to the firms they visit: deleting a worker splits the firm
+    set exactly when that worker is an articulation point there. `graph` is
+    not read: the (worker, firm) counts come from `panel`.
     """
-    widx, fidx = panel.worker_idx, panel.firm_idx
     n_w, n_f = panel.n_workers, panel.n_firms
-    keep = np.ones(panel.n_obs, dtype=bool)
-    inc = graph.incidence  # of `panel`, so it describes the full mask
+    pairs = _pair_counts(panel).tocoo()  # graph.incidence's pattern, with counts
+    wkeep, fkeep = np.ones(n_w, dtype=bool), np.ones(n_f, dtype=bool)
 
     while True:
-        obs_per_worker = np.bincount(widx[keep], minlength=n_w)
-        obs_per_firm = np.bincount(fidx[keep], minlength=n_f)
+        live = wkeep[pairs.row] & fkeep[pairs.col]
+        workers, firms, counts = pairs.row[live], pairs.col[live], pairs.data[live]
+        inc = sp.csr_matrix((counts, (workers, firms)), shape=(n_w, n_f))
+        obs_per_worker = np.bincount(workers, weights=counts, minlength=n_w)
+        obs_per_firm = np.bincount(firms, weights=counts, minlength=n_f)
         n_live_firms = np.count_nonzero(obs_per_firm)
 
         fmask = _pick_component(inc, obs_per_firm)[1]
         if np.count_nonzero(fmask) < n_live_firms:
             # keep the largest component of the current set
-            keep &= fmask[fidx]
+            fkeep &= fmask
         elif np.any(obs_per_worker == 1):
             # single-observation workers carry leverage one: drop them
             if not np.any(obs_per_worker >= 2):
                 raise DataError("leave-one-out connected set is empty: data too sparse")
-            keep &= obs_per_worker[widx] >= 2
+            wkeep &= obs_per_worker >= 2
         elif n_live_firms == 1:
             # single-firm set: any worker can be left out iff another remains
             if np.count_nonzero(obs_per_worker) < 2:
@@ -247,22 +239,19 @@ def leave_one_out_connected_set(graph: MobilityGraph, panel: Panel) -> Connected
                 break
             if cut.size == np.count_nonzero(obs_per_worker):
                 raise DataError("leave-one-out connected set is empty: data too sparse")
-            dropped = np.zeros(n_w, dtype=bool)
-            dropped[cut] = True
-            keep &= ~dropped[widx]
-        inc = worker_firm_incidence(panel, keep)
+            wkeep[cut] = False
 
     return ConnectedSet(
-        firms=frozenset(panel.firm_ids[j] for j in np.flatnonzero(obs_per_firm)),
-        workers=frozenset(panel.worker_ids[w] for w in np.flatnonzero(obs_per_worker)),
+        firms=frozenset(compress(panel.firm_ids, (obs_per_firm > 0).tolist())),
+        workers=frozenset(compress(panel.worker_ids, (obs_per_worker > 0).tolist())),
         kind="leave_one_out",
     )
 
 
 def connected_set_summary(panel: Panel, conn: ConnectedSet) -> dict:
     """JSON-ready membership summary for a connected set of `panel`."""
-    fmask = np.fromiter((f in conn.firms for f in panel.firm_ids), dtype=bool)
-    wmask = np.fromiter((w in conn.workers for w in panel.worker_ids), dtype=bool)
+    fmask = np.fromiter(map(conn.firms.__contains__, panel.firm_ids), bool, panel.n_firms)
+    wmask = np.fromiter(map(conn.workers.__contains__, panel.worker_ids), bool, panel.n_workers)
     kept = fmask[panel.firm_idx] & wmask[panel.worker_idx]
     return {
         "schema_version": 1,

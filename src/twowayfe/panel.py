@@ -11,8 +11,8 @@ The layer works on integer codes and column arrays, not per-row records:
 
 - `load_panel` reads the file in one pass, `CHUNK_ROWS` physical lines at a
   time, and drops blank lines as csv.reader does. Each chunk is parsed by one
-  `np.loadtxt` call in numpy's C text parser; ids are stripped and coded
-  through running dicts. loadtxt parses floats with `PyOS_string_to_double`,
+  `np.loadtxt` call in numpy's C text parser; each run of equal ids is
+  stripped and coded once. loadtxt parses floats with `PyOS_string_to_double`,
   the parser of `float()`, and rejects the inputs on which they differ
   (underscores, non-ASCII digits, a missing field, a whitespace-only line).
   The period is kept when every value is finite and inside int64. A chunk
@@ -24,7 +24,7 @@ The layer works on integer codes and column arrays, not per-row records:
   same C parse, its used fields joined again by the delimiter, when no such
   field holds the delimiter or a line break; otherwise the row loop. Memory
   holds one chunk of text plus the numeric columns. Drop checks and
-  duplicate detection are vectorized.
+  duplicate detection are vectorized; sorted rows skip the sort.
 - `restrict_panel` re-indexes the kept rows in O(n + W + F): a subset of
   sorted, unique rows with ids renumbered monotonically stays sorted and
   unique, so ids and rows are never re-sorted or re-checked.
@@ -168,8 +168,7 @@ class Panel:
         self.worker_ids = worker_ids
         self.firm_ids = firm_ids
         self.covariate_names = tuple(covariate_names)
-        self._worker_index = {w: i for i, w in enumerate(worker_ids)}
-        self._firm_index = {f: j for j, f in enumerate(firm_ids)}
+        self._worker_index = self._firm_index = None  # built on first lookup
         for arr in (worker_idx, firm_idx, period, log_wage, covariates):
             arr.setflags(write=False)
 
@@ -196,12 +195,16 @@ class Panel:
 
     # -- id mapping ------------------------------------------------------
     def worker_index(self, worker_id: str) -> int:
+        if self._worker_index is None:
+            self._worker_index = dict(zip(self.worker_ids, range(self.n_workers)))
         try:
             return self._worker_index[worker_id]
         except KeyError:
             raise DataError(f"unknown worker id {worker_id!r}") from None
 
     def firm_index(self, firm_id: str) -> int:
+        if self._firm_index is None:
+            self._firm_index = dict(zip(self.firm_ids, range(self.n_firms)))
         try:
             return self._firm_index[firm_id]
         except KeyError:
@@ -240,11 +243,17 @@ class Panel:
         )
 
 
-def _code(values, index: dict) -> np.ndarray:
-    """Integer codes of `values`; unseen values join the running dict `index`."""
-    fresh = [v for v in dict.fromkeys(values) if v not in index]
+def _code(values: np.ndarray, index: dict, strip: bool = False) -> np.ndarray:
+    """Integer codes of the ids in the object array `values`, stripped if
+    `strip`; unseen ids join the running dict `index`. Runs share a lookup."""
+    starts = np.flatnonzero(np.concatenate(([True], values[1:] != values[:-1])))
+    runs = starts.size < values.size  # else every row heads a run: no gather, no repeat
+    heads = (values[starts] if runs else values).tolist()
+    heads = list(map(str.strip, heads)) if strip else heads
+    fresh = [v for v in dict.fromkeys(heads) if v not in index]
     index.update(zip(fresh, range(len(index), len(index) + len(fresh))))
-    return np.fromiter(map(index.__getitem__, values), dtype=np.int64, count=len(values))
+    codes = np.fromiter(map(index.__getitem__, heads), dtype=np.int64, count=len(heads))
+    return np.repeat(codes, np.diff(starts, append=values.size)) if runs else codes
 
 
 def _rank(index: dict, codes: np.ndarray):
@@ -312,8 +321,8 @@ def _convert_lines(lines, text, delimiter, positions):
     if not np.all((period >= -_INT64_BOUND) & (period < _INT64_BOUND)):  # NaN fails both
         return None
     return (
-        list(map(str.strip, table["worker"].tolist())),
-        list(map(str.strip, table["firm"].tolist())),
+        table["worker"],
+        table["firm"],
         period.astype(np.int64),
         np.ascontiguousarray(table["values"]),
         np.zeros(len(lines), dtype=bool),
@@ -329,15 +338,15 @@ def _convert_rows(records, positions):
         try:
             worker, firm, period, *floats = [g(rec) for g in getters]
             period = np.int64(int(float(period)))
-            parsed.append((worker.strip(), firm.strip(), period, *map(float, floats)))
+            parsed.append((worker, firm, period, *map(float, floats)))
             bad.append(False)
         except _PARSE_ERRORS:
             parsed.append(placeholder)
             bad.append(True)
     worker, firm, period, *floats = zip(*parsed)
     return (
-        list(worker),
-        list(firm),
+        np.array(worker, dtype=object),
+        np.array(firm, dtype=object),
         np.array(period, dtype=np.int64),
         np.column_stack([np.array(c, dtype=np.float64) for c in floats]),
         np.array(bad),
@@ -447,7 +456,7 @@ def load_panel(path, schema=None, delimiter=",") -> tuple[Panel, ValidationRepor
         for numbers, (worker, firm, period, values, bad) in _read_chunks(
             fh, reader.line_num, delimiter, positions
         ):
-            wcode, fcode = _code(worker, worker_index), _code(firm, firm_index)
+            wcode, fcode = _code(worker, worker_index, True), _code(firm, firm_index, True)
             chunks.append((numbers, bad, wcode, fcode, period, values))
 
     if not chunks:
@@ -464,10 +473,13 @@ def load_panel(path, schema=None, delimiter=",") -> tuple[Panel, ValidationRepor
         raise DataError(f"no valid rows in {path}")
 
     # Every worker of a valid row keeps its first row, so workers are ranked
-    # before duplicates go. The stable sort puts that first row first.
+    # before duplicates go. The stable sort puts that first row first; on rows
+    # already in (worker, period) order it is the identity, so it is skipped.
     worker_ids, widx = _rank(worker_index, wcode[ok])
-    order = np.lexsort((period[ok], widx))
-    rows, widx = ok[order], widx[order]
+    rows, kept_period, step = ok, period[ok], np.diff(widx)
+    if np.any((step < 0) | (step == 0) & (kept_period[1:] < kept_period[:-1])):
+        order = np.lexsort((kept_period, widx))
+        rows, widx = ok[order], widx[order]
     dup = np.zeros(rows.size, dtype=bool)
     dup[1:] = (widx[1:] == widx[:-1]) & (period[rows[1:]] == period[rows[:-1]])
     status[rows[dup]] = _DUPLICATE
@@ -552,12 +564,8 @@ def restrict_panel(panel: Panel, keep_workers, keep_firms) -> Panel:
     if not keep_workers or not keep_firms:
         raise ConfigError("keep sets must be nonempty")
 
-    wmask = np.fromiter(
-        (w in keep_workers for w in panel.worker_ids), dtype=bool, count=panel.n_workers
-    )
-    fmask = np.fromiter(
-        (f in keep_firms for f in panel.firm_ids), dtype=bool, count=panel.n_firms
-    )
+    wmask = np.fromiter(map(keep_workers.__contains__, panel.worker_ids), bool, panel.n_workers)
+    fmask = np.fromiter(map(keep_firms.__contains__, panel.firm_ids), bool, panel.n_firms)
     mask = wmask[panel.worker_idx] & fmask[panel.firm_idx]
     if not mask.any():
         raise DataError("restriction produced an empty panel")

@@ -276,6 +276,22 @@ class TestPipelineInMemory:
         assert main(argv) == 0
         assert (len(loads), len(graphs), len(fits)) == (1, 1, 2)
 
+    def test_one_plug_in_decomposition_per_stage(self, tmp_path, monkeypatch):
+        """`decompose` makes one plug-in decomposition and each `correct` one,
+        inside `corrected_decomposition`; `plug_in.json` is written from it."""
+        raw, settings = covariate_csv(tmp_path)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(settings))
+        plug_ins = count_calls(monkeypatch, cli, "decompose_variance")
+        out = tmp_path / "p"
+        argv = ["pipeline", "--leave-out", "--panel", raw, "--config", str(cfg), "--out", str(out)]
+        assert main(argv) == 0
+        assert len(plug_ins) == 3
+        # the homoskedastic correction corrects the decompose stage's fit
+        assert (out / "correct" / "plug_in.json").read_bytes() == (
+            out / "decompose" / "decomposition.json"
+        ).read_bytes()
+
 
 class TestFlags:
     @pytest.mark.parametrize("command", cli.COMMANDS)

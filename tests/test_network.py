@@ -2,6 +2,7 @@ import sys
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from twowayfe import (
     ConnectedSet,
@@ -12,6 +13,7 @@ from twowayfe import (
     leave_one_out_connected_set,
 )
 from twowayfe.correct import compute_leverages
+from twowayfe.network import _cut_movers
 
 from conftest import random_connected_panel
 
@@ -392,3 +394,66 @@ class TestLeaveOneOut:
         panel = panel_from_pairs(pairs)
         with pytest.raises(DataError):
             leave_one_out_connected_set(build_graph(panel), panel)
+
+
+# -- articulation movers -----------------------------------------------------
+
+
+def firm_component_count(n_firms, firm_lists):
+    """Components of the firms when each list's firms are joined (union-find)."""
+    root = list(range(n_firms))
+
+    def find(j):
+        while root[j] != j:
+            root[j] = root[root[j]]
+            j = root[j]
+        return j
+
+    for firms in firm_lists:
+        for j in firms[1:]:
+            root[find(j)] = find(firms[0])
+    return len({find(j) for j in range(n_firms)})
+
+
+class TestCutMovers:
+    def test_matches_deleting_each_mover(self):
+        """On random bipartite graphs, the movers `_cut_movers` returns are the
+        ones whose deletion splits the firms into more components."""
+        rng = np.random.default_rng(23)
+        seen = {"several_components": 0, "isolated_firms": 0, "busy_firm": 0, "cuts": 0}
+        for _ in range(200):
+            n_f = int(rng.integers(1, 16))
+            group = rng.integers(0, rng.integers(1, 4), size=n_f)
+            group[rng.random(n_f) < 0.15] = -1  # never visited: isolated firms
+            weight = rng.pareto(1.0, size=n_f) + 0.05  # a few firms draw most movers
+            open_firms = np.flatnonzero(group >= 0)
+            rows = []
+            for _ in range(int(rng.integers(0, 40)) if open_firms.size else 0):
+                members = np.flatnonzero(group == group[rng.choice(open_firms)])
+                p = weight[members] / weight[members].sum()
+                firms = rng.choice(members, size=rng.integers(1, 4), p=p)
+                rows.append(sorted(set(firms.tolist())))
+            incidence = sp.csr_matrix(
+                (np.ones(sum(map(len, rows))), [j for r in rows for j in r],
+                 np.cumsum([0] + [len(r) for r in rows])),
+                shape=(len(rows), n_f),
+            )
+            movers = np.array([k for k, r in enumerate(rows) if len(r) >= 2], dtype=np.int64)
+            if movers.size and rng.random() < 0.3:
+                size = rng.integers(1, movers.size + 1)
+                movers = np.sort(rng.choice(movers, size=size, replace=False))
+
+            lists = [rows[k] for k in movers]
+            whole = firm_component_count(n_f, lists)
+            expected = [
+                int(k) for i, k in enumerate(movers)
+                if firm_component_count(n_f, lists[:i] + lists[i + 1:]) > whole
+            ]
+            assert _cut_movers(incidence, movers).tolist() == expected
+
+            visited = {j for r in lists for j in r}
+            seen["several_components"] += whole - (n_f - len(visited)) > 1
+            seen["isolated_firms"] += len(visited) < n_f
+            seen["busy_firm"] += max(np.bincount([j for r in lists for j in r] or [0])) >= 5
+            seen["cuts"] += 0 < len(expected) < movers.size
+        assert min(seen.values()) >= 20, seen

@@ -13,11 +13,15 @@ from twowayfe import (
     ConfigError,
     DataError,
     Panel,
+    SolverConfig,
     ValidationReport,
+    estimate,
     load_panel,
     restrict_panel,
     write_panel,
 )
+
+from conftest import random_connected_panel
 
 
 def write_lines(path, lines):
@@ -477,6 +481,117 @@ class TestLoaderOracle:
         assert panel.n_obs == 2
         assert report.unparsable_rows == 1
         assert report.warnings == ("line 3: unparsable row dropped",)
+
+
+def count_sorts(monkeypatch):
+    """Count np.lexsort calls in the one-element list returned."""
+    sorts = [0]
+    lexsort = np.lexsort
+
+    def counted(*args, **kwargs):
+        sorts[0] += 1
+        return lexsort(*args, **kwargs)
+
+    monkeypatch.setattr(np, "lexsort", counted)
+    return sorts
+
+
+class TestIdCoding:
+    """Ids are coded one run of equal neighbours at a time, and rows already
+    in (worker, period) order are not sorted again."""
+
+    def test_shuffled_copy_loads_like_sorted_file(self, tmp_path, monkeypatch):
+        rng = random.Random(3)
+        rows = [(f"w{w:02d}", f"f{rng.randint(0, 4)}", t, rng.uniform(-1, 1))
+                for w in range(30) for t in range(1, rng.randint(2, 5))]
+        lines = [f"{w},{f},{t},{y!r}" for w, f, t, y in rows]
+        # two duplicates: the first of each (worker, period) wins
+        lines.insert(4, f"{rows[3][0]},f9,{rows[3][2]},7.5")
+        lines.insert(40, f"{rows[38][0]},f8,{rows[38][2]},-7.5")
+        header = "worker,firm,period,log_wage"
+        sorted_file, shuffled_file = tmp_path / "sorted.csv", tmp_path / "shuffled.csv"
+        write_lines(sorted_file, [header, *lines])
+        rng.shuffle(lines)
+        write_lines(shuffled_file, [header, *lines])
+        sorts = count_sorts(monkeypatch)
+        files = {"sorted": sorted_file, "shuffled": shuffled_file}
+        got = {name: load_panel(f) for name, f in files.items()}
+        assert sorts[0] == 1  # only the shuffled file is sorted
+        monkeypatch.undo()
+        for name, f in files.items():
+            assert got[name] == oracle_load(f), name
+            assert got[name][1].duplicate_worker_periods == 2
+        # without the duplicates both files hold the same rows
+        clean = [line for line in lines if ",f9," not in line and ",f8," not in line]
+        write_lines(shuffled_file, [header, *clean])
+        panel, report = load_panel(shuffled_file)
+        assert report.rows_dropped == 0
+        assert panel == Panel(*zip(*rows))
+
+    @pytest.mark.parametrize(
+        "workers",
+        [
+            pytest.param(["w1", " w1 ", "w1\t", "w2", " w2"], id="whitespace_neighbours"),
+            pytest.param(["a", "b", "a", "b", "a", "b"], id="alternating_no_runs"),
+            pytest.param(["b", " a", "b ", "a", " b", "a"], id="alternating_with_whitespace"),
+        ],
+    )
+    def test_ids_equal_after_strip_code_to_one_id(self, tmp_path, workers):
+        f = tmp_path / "p.csv"
+        write_lines(
+            f,
+            ["worker,firm,period,log_wage"]
+            + [f"{w},{' f1 ' if t % 2 else 'f1'},{t},1.0" for t, w in enumerate(workers)],
+        )
+        panel, report = load_panel(f)
+        assert (panel, report) == oracle_load(f)
+        assert panel.worker_ids == tuple(sorted({w.strip() for w in workers}))
+        assert panel.firm_ids == ("f1",)
+        assert report.rows_dropped == 0
+
+    def test_runs_across_chunk_borders_and_row_path_chunks(self, tmp_path, monkeypatch):
+        """Three rows a chunk: every worker's run of rows crosses a chunk
+        border, and the chunk holding the unparsable row takes the row loop
+        between chunks that the C parser takes."""
+        rows = [f"{w},{f},{t},{t / 4}" for w, f in (("a", "f1"), ("b", "f2"), ("c", "f1"))
+                for t in range(1, 5)]
+        rows[5] = "b,f2,x,1.0"  # chunk 2 of 4
+        f = tmp_path / "p.csv"
+        write_lines(f, ["worker,firm,period,log_wage", *rows])
+        monkeypatch.setattr(twowayfe.panel, "CHUNK_ROWS", 3)
+        parsed = count_c_parses(monkeypatch)
+        panel, report = load_panel(f)
+        assert parsed[0] == 3
+        assert (panel, report) == oracle_load(f)
+        assert panel.worker_ids == ("a", "b", "c")
+        assert np.bincount(panel.worker_idx).tolist() == [4, 3, 4]
+        assert report.warnings == ("line 7: unparsable row dropped",)
+
+    def test_id_lookup_on_restricted_panel(self, exactfit_panel):
+        p = restrict_panel(exactfit_panel, {"w1", "w3"}, {"f2"})
+        for k, w in enumerate(p.worker_ids):
+            assert p.worker_index(w) == k
+        assert p.firm_index("f2") == 0
+        with pytest.raises(DataError, match="unknown worker id 'w2'"):
+            p.worker_index("w2")
+        with pytest.raises(DataError, match="unknown firm id 'f1'"):
+            p.firm_index("f1")
+
+    def test_reference_firm_normalization_on_restricted_panel(self):
+        rng = np.random.default_rng(4)
+        panel = random_connected_panel(rng, n_workers=40, n_firms=5, mover_share=0.6)
+        keep = set(panel.firm_ids[1:])
+        p = restrict_panel(panel, set(panel.worker_ids), keep)
+        reference = p.firm_ids[-1]
+        config = SolverConfig(normalization="reference_firm", reference_firm=reference)
+        est = estimate(p, None, config)
+        assert est.psi_of(reference) == 0.0
+        assert est.psi[p.firm_index(reference)] == 0.0
+        w = p.worker_ids[0]
+        assert est.alpha_of(w) == est.alpha[p.worker_index(w)]
+        with pytest.raises(DataError):
+            estimate(p, None, SolverConfig(normalization="reference_firm",
+                                           reference_firm=panel.firm_ids[0]))
 
 
 class TestColumnarOracles:
