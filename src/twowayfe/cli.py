@@ -11,9 +11,11 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import contextvars
 import csv
 import functools
 import hashlib
+import io
 import json
 import os
 import sys
@@ -55,24 +57,45 @@ COMMANDS = (
 
 # -- atomic artifact plumbing -------------------------------------------
 
+# While one `pipeline` call runs, the sha256 digests its manifests record, by
+# absolute path: each input file is read once for all of its stages, and
+# writing an artifact drops the digest of that path. None outside `pipeline`,
+# so a standalone command reads every input it records.
+_PIPELINE_DIGESTS: contextvars.ContextVar[dict | None] = contextvars.ContextVar(
+    "pipeline_digests", default=None
+)
+
 
 @contextlib.contextmanager
-def _atomic_path(path: str):
-    """A temporary file beside `path` for the block to write, renamed onto
-    `path` when the block returns and removed when it raises."""
+def _atomic_file(path: str):
+    """A new temporary file beside `path`, (descriptor, name), for the block
+    to write and close; renamed onto `path` when the block returns and
+    removed when it raises."""
     fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path) or ".", prefix=".tmp-")
-    os.close(fd)
     try:
-        yield tmp
+        yield fd, tmp
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+    digests = _PIPELINE_DIGESTS.get()
+    if digests:
+        digests.pop(os.path.abspath(path), None)
+
+
+@contextlib.contextmanager
+def _atomic_path(path: str):
+    """The name of a temporary file beside `path` for the block to write,
+    renamed onto `path` when the block returns and removed when it raises."""
+    with _atomic_file(path) as (fd, tmp):
+        os.close(fd)
+        yield tmp
 
 
 def _atomic_write(path: str, text: str) -> None:
-    with _atomic_path(path) as tmp, open(tmp, "w", encoding="utf-8") as fh:
+    """`text` written through the temporary file's own descriptor."""
+    with _atomic_file(path) as (fd, _), open(fd, "w", encoding="utf-8", newline="") as fh:
         fh.write(text)
 
 
@@ -82,13 +105,29 @@ def _write_json(path: str, obj) -> None:
     _atomic_write(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
 
-def _write_rows(path: str, header, rows, delimiter=",") -> None:
-    """CSV rows, a field quoted only where it holds the delimiter, a quote or
-    a line break, so rows of plain ids are the fields joined by `delimiter`."""
-    with _atomic_path(path) as tmp, open(tmp, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, delimiter=delimiter, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
+def _write_rows(path: str, header, rows) -> None:
+    """CSV rows, a field quoted only where it holds a comma, a quote or a line
+    break, so rows of plain ids are the fields joined by commas."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    _atomic_write(path, buf.getvalue())
+
+
+def _write_columns(path: str, header, row: str, columns: list, ids) -> None:
+    """The CSV `_write_rows` writes for the rows zip(*columns), whose text
+    fields are `ids` and whose other fields are floats (written as their
+    repr). When no id would be quoted, every row takes one `%` operation with
+    `row`, the %-format of one row: %s for text, %r for a float."""
+    if any(c in "".join(ids) for c in ',"\r\n'):
+        _write_rows(path, header, zip(*columns))
+        return
+    n = len(columns[0])
+    fields = [None] * (n * len(columns))
+    for k, column in enumerate(columns):
+        fields[k :: len(columns)] = column
+    _atomic_write(path, ",".join(header) + "\n" + (row * n) % tuple(fields))
 
 
 def _digest(path: str) -> str:
@@ -116,13 +155,26 @@ class Run:
         self.outputs.append(name)
         return full
 
+    def _digests(self) -> dict:
+        """sha256 of each input file that exists, read once per `pipeline`."""
+        shared = _PIPELINE_DIGESTS.get()
+        digests = {} if shared is None else shared
+        out = {}
+        for p in self.inputs:
+            if p and os.path.exists(p):
+                key = os.path.abspath(p)
+                if key not in digests:
+                    digests[key] = _digest(p)
+                out[p] = digests[key]
+        return out
+
     def finish(self) -> None:
         manifest = {
             "schema_version": SCHEMA_VERSION,
             "command": self.command,
             "tool_version": __version__,
             "config": self.config,
-            "inputs": {p: _digest(p) for p in self.inputs if p and os.path.exists(p)},
+            "inputs": self._digests(),
             "seed": self.config.get("seed"),
             "duration_seconds": round(time.time() - self.started, 3),
             "outputs": sorted(self.outputs),
@@ -206,24 +258,19 @@ def _read_set(path: str) -> ConnectedSet:
 
 
 def _emit_membership(run: Run, name: str, conn: ConnectedSet, panel: Panel) -> None:
-    rows = [("firm", f) for f in sorted(conn.firms)]
-    rows += [("worker", w) for w in sorted(conn.workers)]
-    _write_rows(run.path(f"{name}.csv"), ("entity_type", "external_id"), rows)
+    ids = sorted(conn.firms) + sorted(conn.workers)
+    entity = ["firm"] * conn.n_firms + ["worker"] * conn.n_workers
+    _write_columns(run.path(f"{name}.csv"), ("entity_type", "external_id"), "%s,%s\n",
+                   [entity, ids], ids)
     _write_json(run.path(f"{name}_summary.json"), connected_set_summary(panel, conn))
 
 
 def _emit_estimates(run: Run, est: Estimates) -> None:
     panel = est.panel
-    _write_rows(
-        run.path("alpha.csv"),
-        ("worker", "alpha"),
-        [(panel.worker_ids[i], repr(float(est.alpha[i]))) for i in range(panel.n_workers)],
-    )
-    _write_rows(
-        run.path("psi.csv"),
-        ("firm", "psi"),
-        [(panel.firm_ids[j], repr(float(est.psi[j]))) for j in range(panel.n_firms)],
-    )
+    for header, ids, effects in ((("worker", "alpha"), panel.worker_ids, est.alpha),
+                                 (("firm", "psi"), panel.firm_ids, est.psi)):
+        _write_columns(run.path(f"{header[1]}.csv"), header, "%s,%r\n",
+                       [ids, effects.tolist()], ids)
     _write_rows(
         run.path("beta.csv"),
         ("covariate", "beta"),
@@ -456,15 +503,20 @@ def cmd_pipeline(config: dict, out_dir: str) -> None:
     def stage(name: str, **settings):
         return {**clean, **settings}, os.path.join(out_dir, name)
 
-    panel = cmd_validate(dict(config), os.path.join(out_dir, "validate"))
-    largest, loo = cmd_connect(*stage("connect", kind="both"), panel=panel)
-    fit = cmd_estimate(*stage("estimate", set=set_file), panel=panel, conn=largest)
-    cmd_decompose(*stage("decompose", set=set_file), fit=fit)
-    cmd_correct(*stage("correct", correction="homoskedastic_trace"), panel=panel, conn=largest, fit=fit)
-    del fit  # frees the fit and its design before the leave-out fit is made
-    if config.get("leave_out"):
-        cmd_correct(*stage("correct_leave_out", correction="leave_out"), panel=panel, conn=loo)
-    Run("pipeline", out_dir, config, [config.get("panel", "")]).finish()
+    shared = _PIPELINE_DIGESTS.set({})  # each input file is read once for the manifests
+    try:
+        panel = cmd_validate(dict(config), os.path.join(out_dir, "validate"))
+        largest, loo = cmd_connect(*stage("connect", kind="both"), panel=panel)
+        fit = cmd_estimate(*stage("estimate", set=set_file), panel=panel, conn=largest)
+        cmd_decompose(*stage("decompose", set=set_file), fit=fit)
+        cmd_correct(*stage("correct", correction="homoskedastic_trace"),
+                    panel=panel, conn=largest, fit=fit)
+        del fit  # frees the fit and its design before the leave-out fit is made
+        if config.get("leave_out"):
+            cmd_correct(*stage("correct_leave_out", correction="leave_out"), panel=panel, conn=loo)
+        Run("pipeline", out_dir, config, [config.get("panel", "")]).finish()
+    finally:
+        _PIPELINE_DIGESTS.reset(shared)
 
 
 HANDLERS = {

@@ -47,15 +47,18 @@ Schur space through T (`_schur_rows`), the cells' reduced rows:
 O(cells + nnz(T)) per probe outside the solve, with no pass over
 observations (sigma2_o is reduced to per-cell sums once per call). Per-cell
 values are weighted by the cell's sum of sigma2_o.
-Each stage solves its probes in batches of b = PROBE_BLOCK_BYTES // (8 cells)
-columns (8m for the trace probes). Every batch of one call runs the same
-solver, chosen once per call (`_schur_solver`): when the dense Cholesky
-factor of the Schur complement is no larger than one probe temporary
-(8 m^2 <= PROBE_BLOCK_BYTES), it is formed once and each batch is one
-cho_solve, O(m^2 b); otherwise each batch is one batched CG run against the
-Schur complement, which the Design assembles once as a sparse m x m matrix,
-O(iterations * nnz(Schur) * b). Probes follow the seeded stream in
-one-at-a-time order, so results do not depend on the width.
+Every solve batch of one call runs the same solver, chosen once per call
+(`_schur_solver`): when the dense Cholesky factor of the Schur complement is
+no larger than one probe temporary (8 m^2 <= PROBE_BLOCK_BYTES), it is formed
+once and each batch is one cho_solve, O(m^2 b); otherwise each batch is one
+batched CG run against the Schur complement, which the Design assembles once
+as a sparse m x m matrix, O(iterations * nnz(Schur) * b). Each stage solves
+its probes in batches of b = PROBE_BLOCK_BYTES // (8 cells) columns (8m for
+the trace probes), at least 1 on the dense factor and at least CG_MIN_WIDTH
+under CG (`_width`); the sparse transposes a leave-out batch reads are formed
+once per stage. Probes follow the seeded stream in one-at-a-time
+order, so the draws do not depend on the width; sums over a batch's columns
+do, in their last bits.
 Leave-out leverages are JLA-normalized, P^/(P^ + M^), so they stay below one.
 All components of one call share one probe stream, default_rng(seed): at P
 probes a homoskedastic decomposition solves P columns (one V z serves every
@@ -101,6 +104,12 @@ DEFAULT_CG_TOL = 1e-8
 # probes solved together (cell-length or Schur-length columns) and whether
 # the probe solves use a dense Schur factor (8 m^2 bytes at most).
 PROBE_BLOCK_BYTES = 1 << 19
+# The fewest probes in a batch solved by CG: one CG iteration on k columns
+# costs much less than k iterations on one column, and the budget above holds
+# a single cell-length column once cells exceed 32k. Chosen at 1M observations
+# (128.6k cells): 4 columns cut the stochastic leave-out by about a third at
+# a peak a few MB higher; 8 cut it by about 40% at a peak some 40 MB higher.
+CG_MIN_WIDTH = 4
 
 
 @dataclass(frozen=True)
@@ -171,10 +180,23 @@ def _plug_ins(plug: Decomposition) -> dict:
     }
 
 
-def _spans(count: int, size: int) -> list[slice]:
-    """Consecutive slices of range(count), each as wide as PROBE_BLOCK_BYTES
-    allows for float64 columns of length `size`."""
-    width = max(1, PROBE_BLOCK_BYTES // (8 * size))
+def _dense_factor(design: Design) -> bool:
+    """Whether the probe solves of a call use the dense Cholesky factor of the
+    Schur complement: when it is no larger than one probe temporary
+    (8 m^2 <= PROBE_BLOCK_BYTES); otherwise they run CG."""
+    m = design.F - 1 + design.K
+    return 0 < 8 * m * m <= PROBE_BLOCK_BYTES
+
+
+def _width(design: Design, size: int) -> int:
+    """Probes per solve batch for float64 columns of length `size`: as many as
+    PROBE_BLOCK_BYTES holds, and at least 1 on the dense factor, whose batches
+    are cache-bound, or CG_MIN_WIDTH under CG."""
+    return max(PROBE_BLOCK_BYTES // (8 * size), 1 if _dense_factor(design) else CG_MIN_WIDTH)
+
+
+def _spans(count: int, width: int) -> list[slice]:
+    """Consecutive slices of range(count), `width` wide (the last one less)."""
     return [slice(lo, min(lo + width, count)) for lo in range(0, count, width)]
 
 
@@ -198,14 +220,13 @@ def _stderr(vals: np.ndarray) -> float:
 
 def _schur_solver(design: Design, cg_tol: float):
     """t -> Schur^{-1} t for t of shape (m, k), the solver of every probe batch
-    of one correction call, chosen once. When the dense Cholesky factor is no
-    larger than one probe temporary (8 m^2 <= PROBE_BLOCK_BYTES), it is formed
-    once (`Design.schur_cholesky`) and each batch is one cho_solve: the factor
-    stays in cache, so its cost does not depend on the batch width. Larger
-    Schur complements keep batched CG (`Design.solve_schur`) at `cg_tol`. The
-    factor lives as long as the returned solver."""
-    m = design.F - 1 + design.K
-    if 0 < 8 * m * m <= PROBE_BLOCK_BYTES:
+    of one correction call, chosen once. Where `_dense_factor` holds, the
+    dense Cholesky factor is formed once (`Design.schur_cholesky`) and each
+    batch is one cho_solve: the factor stays in cache, so its cost does not
+    depend on the batch width. Larger Schur complements keep batched CG
+    (`Design.solve_schur`) at `cg_tol`. The factor lives as long as the
+    returned solver."""
+    if _dense_factor(design):
         factor = (design.schur_cholesky(), True)
         return lambda t: scipy.linalg.cho_solve(factor, t, check_finite=False)
     return lambda t: design.solve_schur(t, rtol=cg_tol)[0]
@@ -232,7 +253,7 @@ def _trace_probes(forms: list[QuadraticForm], probes: int, rng, solve) -> dict:
     s = np.concatenate([design.g_firm[:F1], design.panel.covariates.sum(axis=0)])
     n_f = s[:F1]
     vals = {f.component: [] for f in forms}
-    for batch in _spans(probes, max(m, 1)):
+    for batch in _spans(probes, _width(design, max(m, 1))):
         z = _rademacher(rng, batch, m).T.astype(np.float64, order="C")
         u = solve(z)
         gu = design.gtg @ u  # G'G u, so u'G'G z = (G'G u)'z, G'G being symmetric
@@ -340,10 +361,10 @@ def exact_trace_quadratic(form: QuadraticForm) -> float:
 _ALL_BITS = np.uint64(0xFFFF_FFFF_FFFF_FFFF)
 
 
-def _probe_sums(cells: Cells, probes: int, rng):
-    """Per solve batch of b Rademacher probes z over observations, the
-    probes' per-cell sums s_c as the columns of a (cells, b) array; b is set
-    by PROBE_BLOCK_BYTES over cell-length columns.
+def _probe_sums(cells: Cells, probes: int, rng, width: int):
+    """Per solve batch of b = `width` Rademacher probes z over observations
+    (fewer in the last batch), the probes' per-cell sums s_c as the columns
+    of a (cells, b) array.
 
     Only the sums are drawn: a cell of T_c rows reads its T_c signs as the
     bits of ceil(T_c / 64) raw 64-bit words of the stream, the last one masked
@@ -356,7 +377,7 @@ def _probe_sums(cells: Cells, probes: int, rng):
     mask = np.full(ends[-1], _ALL_BITS)
     mask[ends - 1] = _ALL_BITS >> (64 - rows + 64 * (words - 1)).astype(np.uint64)
     long_cells = ends[-1] > cells.size  # some cell has more than 64 rows
-    for batch in _spans(probes, cells.size):
+    for batch in _spans(probes, width):
         k = batch.stop - batch.start
         bits = rng.bit_generator.random_raw(k * ends[-1]).reshape(k, -1)
         ones = np.bitwise_count(np.bitwise_and(bits, mask, out=bits))
@@ -388,11 +409,12 @@ def _stochastic_leverages(design: Design, T: sp.csr_matrix, probes: int, rng,
     """
     cells = design.cells
     d = design.d_worker[:, None]
+    T_t, worker_t = T.T, cells.worker_mat.T  # formed once, not per batch
     p_hat = np.zeros(cells.size)
     m_hat = np.zeros(cells.size)
-    for sums in _probe_sums(cells, probes, rng):
-        pz = T @ solve(T.T @ sums)
-        pz += ((cells.worker_mat.T @ sums) / d)[cells.worker_idx]
+    for sums in _probe_sums(cells, probes, rng, _width(design, cells.size)):
+        pz = T @ solve(T_t @ sums)
+        pz += ((worker_t @ sums) / d)[cells.worker_idx]
         p_hat += np.einsum("ij,ij->i", pz, pz)
         sums /= cells.counts[:, None]  # each probe's mean over the cell's rows
         pz -= sums
@@ -417,13 +439,14 @@ def _cell_maps(forms: list[QuadraticForm], T: sp.csr_matrix, probes: int, rng, s
     cells = design.cells
     F1 = design.F - 1
     blocks = list(dict.fromkeys(b for f in forms for b in f.blocks))
-    for sums in _probe_sums(cells, probes, rng):
+    worker_t, contact_t, g_t = cells.worker_mat.T, design.contact.T, cells.g_mat.T
+    for sums in _probe_sums(cells, probes, rng, _width(design, cells.size)):
         # per cell, the probe's sum minus the cell's person-years times its mean
         sums -= np.outer(cells.counts, sums.sum(axis=0) / design.n)
         k = sums.shape[1]
-        worker = (cells.worker_mat.T @ sums) / design.d_worker[:, None]
-        alpha_rhs = design.contact.T @ worker
-        psi_rhs = (cells.g_mat.T @ sums)[:F1]
+        worker = (worker_t @ sums) / design.d_worker[:, None]
+        alpha_rhs = contact_t @ worker
+        psi_rhs = (g_t @ sums)[:F1]
         rhs = np.zeros((T.shape[1], len(blocks) * k))
         for i, b in enumerate(blocks):
             if b in ("alpha", "alpha_plus_psi"):

@@ -202,9 +202,14 @@ def leave_one_out_connected_set(graph: MobilityGraph, panel: Panel) -> Connected
     in O(pairs) rather than O(n). Articulation workers are found on the
     auxiliary graph whose nodes are firms plus movers and whose edges join
     each mover to the firms they visit: deleting a worker splits the firm
-    set exactly when that worker is an articulation point there. `graph` is
-    not read: the (worker, firm) counts come from `panel`.
+    set exactly when that worker is an articulation point there. The
+    (worker, firm) counts come from `panel`; `graph` must be the panel's own
+    (the same worker and firm ids), else a DataError says so.
     """
+    for ours, theirs in ((graph.worker_ids, panel.worker_ids), (graph.firm_ids, panel.firm_ids)):
+        if ours is not theirs and ours != theirs:  # a graph of this panel shares its id tuples
+            raise DataError("the mobility graph was built from another panel: "
+                            "its worker or firm ids differ from this panel's")
     n_w, n_f = panel.n_workers, panel.n_firms
     pairs = _pair_counts(panel).tocoo()  # graph.incidence's pattern, with counts
     wkeep, fkeep = np.ones(n_w, dtype=bool), np.ones(n_f, dtype=bool)

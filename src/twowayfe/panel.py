@@ -28,10 +28,12 @@ The layer works on integer codes and column arrays, not per-row records:
 - `restrict_panel` re-indexes the kept rows in O(n + W + F): a subset of
   sorted, unique rows with ids renumbered monotonically stays sorted and
   unique, so ids and rows are never re-sorted or re-checked.
-- `write_panel` formats whole columns and writes them `CHUNK_ROWS` rows at a
-  time, each chunk as one joined string. csv.writer writes the chunks instead
-  when it would quote a field: an id holds the delimiter, a quote or a line
-  break, or the delimiter can occur in a number.
+- `write_panel` writes `CHUNK_ROWS` rows at a time, each chunk one grid of
+  Python objects (ids gathered from the id tuples, each distinct period
+  formatted once, floats) formatted by one `%` operation in C, floats as %r.
+  csv.writer writes the grid's rows instead when it would quote a field: an
+  id holds the delimiter, a quote or a line break, or the delimiter can occur
+  in a number.
 """
 
 from __future__ import annotations
@@ -524,31 +526,37 @@ def _summary(values: np.ndarray) -> dict:
 def write_panel(panel: Panel, path, delimiter=",") -> None:
     """Write a Panel back to delimited text, CHUNK_ROWS rows at a time. Floats
     use repr-precision so a write/load round trip reproduces values bit-for-bit.
-    Rows are joined as plain text unless csv.writer would quote a field: an id
-    holding the delimiter, a quote or a line break, or a delimiter that can
-    occur in a number."""
+    Each chunk is one grid of Python objects, a row per observation: the ids
+    gathered from the id tuples, each distinct period formatted once, the
+    floats. It is formatted by one `%` operation (floats as %r, which is
+    float.__repr__) unless csv.writer would quote a field: an id holding the
+    delimiter, a quote or a line break, or a delimiter that can occur in a
+    number. csv.writer then writes the grid's rows (str of a float is its
+    repr)."""
     _check_delimiter(delimiter)
     worker_ids = np.array(panel.worker_ids, dtype=object)
     firm_ids = np.array(panel.firm_ids, dtype=object)
     ids = "".join(panel.worker_ids) + "".join(panel.firm_ids)
     quoted = any(c in ids for c in (delimiter, '"', "\r", "\n"))
     plain = not (quoted or delimiter.isalnum() or delimiter in "+-.")
+    width = 4 + panel.covariate_count
+    row = delimiter.replace("%", "%%").join(["%s"] * 3 + ["%r"] * (width - 3)) + "\r\n"
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, delimiter=delimiter)
         writer.writerow(["worker", "firm", "period", "log_wage", *panel.covariate_names])
         for start in range(0, panel.n_obs, CHUNK_ROWS):
             rows = slice(start, start + CHUNK_ROWS)
-            floats = [panel.log_wage[rows], *panel.covariates[rows].T]
-            fields = zip(
-                worker_ids[panel.worker_idx[rows]].tolist(),
-                firm_ids[panel.firm_idx[rows]].tolist(),
-                map(str, panel.period[rows].tolist()),
-                *(map(float.__repr__, c.tolist()) for c in floats),
-            )
+            periods, at = np.unique(panel.period[rows], return_inverse=True)
+            grid = np.empty((at.size, width), dtype=object)
+            grid[:, 0] = worker_ids[panel.worker_idx[rows]]
+            grid[:, 1] = firm_ids[panel.firm_idx[rows]]
+            grid[:, 2] = np.array(list(map(str, periods.tolist())), dtype=object)[at]
+            grid[:, 3] = panel.log_wage[rows]  # float64 -> float objects
+            grid[:, 4:] = panel.covariates[rows]
             if plain:
-                fh.write("".join([delimiter.join(f) + "\r\n" for f in fields]))
+                fh.write((row * at.size) % tuple(grid.ravel().tolist()))
             else:
-                writer.writerows(fields)
+                writer.writerows(grid.tolist())
 
 
 def restrict_panel(panel: Panel, keep_workers, keep_firms) -> Panel:

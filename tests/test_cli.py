@@ -293,6 +293,35 @@ class TestPipelineInMemory:
         ).read_bytes()
 
 
+    def test_pipeline_digests_each_input_once(self, tmp_path, monkeypatch):
+        """A pipeline reads each input file once for its manifests' digests:
+        the input panel, `validate/panel.csv` and `connected_set.csv`. The
+        digests are not kept past the call: a second run on the input
+        rewritten at the same size records the new content's digest."""
+        import hashlib
+
+        raw, settings = covariate_csv(tmp_path)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(settings))
+        digests = count_calls(monkeypatch, cli, "_digest")
+        argv = ["pipeline", "--leave-out", "--panel", raw, "--config", str(cfg), "--out"]
+        assert main([*argv, str(tmp_path / "p1")]) == 0
+        assert len(digests) == 3
+        data = open(raw, "rb").read()
+        changed = data[:-2] + (b"8" if data[-2:-1] != b"8" else b"7") + data[-1:]
+        assert len(changed) == len(data) and changed != data
+        stat = os.stat(raw)
+        with open(raw, "wb") as fh:
+            fh.write(changed)
+        os.utime(raw, ns=(stat.st_atime_ns, stat.st_mtime_ns))  # same size and mtime
+        assert main([*argv, str(tmp_path / "p2")]) == 0
+        for run in ("p1", "p2"):
+            recorded = {read_json(tmp_path / run / stage / "manifest.json")["inputs"][raw]
+                        for stage in ("", "validate")}
+            expected = hashlib.sha256(data if run == "p1" else changed).hexdigest()
+            assert recorded == {expected}, run
+
+
 class TestFlags:
     @pytest.mark.parametrize("command", cli.COMMANDS)
     def test_threads_only_on_subsample(self, command):
@@ -352,6 +381,51 @@ class TestArtifacts:
         firms = [row[0] for row in rows[1:]]  # psi.csv
         assert len(firms) == read_json(conn / "connected_set_summary.json")["n_firms_kept"]
         assert set(firms) <= set(firm_ids)
+
+    @pytest.mark.parametrize("special", ["", "a,b", 'a"b', "a\rb", "a\nb", None],
+                             ids=["empty", "delimiter", "quote", "cr", "lf", "plain"])
+    def test_effect_and_membership_csvs_match_row_by_row_writer(self, tmp_path, special):
+        """alpha.csv, psi.csv and a membership file are the bytes a csv.writer
+        row loop writes, with a worker and a firm id that hold the delimiter,
+        a quote, CR or LF (quoted), that are empty, or only plain ids."""
+        sim, _ = simulate_panel(SimConfig(n_workers=60, n_firms=8, n_periods=3, seed=2))
+        workers = [f"w{i}" for i in range(sim.n_workers)]
+        firms = [f"f{j}" for j in range(sim.n_firms)]
+        if special is not None:
+            workers[3], firms[1] = special, "x" + special
+        panel = Panel(np.array(workers, dtype=object)[sim.worker_idx],
+                      np.array(firms, dtype=object)[sim.firm_idx], sim.period, sim.log_wage)
+        from twowayfe import build_graph, estimate, largest_connected_set
+
+        conn = largest_connected_set(build_graph(panel))
+        est = estimate(panel, conn)
+        run = cli.Run("estimate", str(tmp_path), {}, [])
+        cli._emit_estimates(run, est)
+        cli._emit_membership(run, "connected_set", conn, panel)
+
+        def oracle(header, rows):
+            path = tmp_path / "oracle.csv"
+            with open(path, "w", newline="", encoding="utf-8") as fh:
+                writer = csv.writer(fh, lineterminator="\n")
+                writer.writerow(header)
+                for row in rows:
+                    writer.writerow(row)
+            return path.read_bytes()
+
+        p = est.panel
+        expected = {
+            "alpha.csv": oracle(("worker", "alpha"), [
+                (p.worker_ids[i], repr(float(est.alpha[i]))) for i in range(p.n_workers)]),
+            "psi.csv": oracle(("firm", "psi"), [
+                (p.firm_ids[j], repr(float(est.psi[j]))) for j in range(p.n_firms)]),
+            "connected_set.csv": oracle(("entity_type", "external_id"), [
+                *[("firm", f) for f in sorted(conn.firms)],
+                *[("worker", w) for w in sorted(conn.workers)]]),
+        }
+        if special is not None:
+            assert special in p.worker_ids and "x" + special in p.firm_ids
+        for name, content in expected.items():
+            assert (tmp_path / name).read_bytes() == content, name
 
     @pytest.mark.parametrize(
         "content, code, kind",

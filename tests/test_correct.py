@@ -559,7 +559,8 @@ def test_probe_stream_matches_one_at_a_time_dense_oracle(
     whatever the widths of solve batches; estimates equal dense evaluations on
     that stream. The trace probes are drawn over the m Schur coordinates, in
     batches of `trace_width` (7 probes: 3, 3, 1 or 2, 2, 2, 1), by CG, as
-    those budgets lie below 8 m^2; the default budget solves them on the
+    those budgets lie below 8 m^2 (CG_MIN_WIDTH lowered to 1, so that the
+    budget alone sets the width); the default budget solves them on the
     dense factor. A leave-out probe's signs are the bits of each cell's raw
     64-bit words (`cell_word_probes`), solved `cell_width` at a time. Without
     covariates the 90 rows share 44 cells; with continuous covariates every
@@ -573,6 +574,7 @@ def test_probe_stream_matches_one_at_a_time_dense_oracle(
     if trace_width is not None:
         assert trace_width < m  # so the budget is below 8 m^2
         monkeypatch.setattr(correct_module, "PROBE_BLOCK_BYTES", 8 * m * trace_width)
+        monkeypatch.setattr(correct_module, "CG_MIN_WIDTH", 1)
     D, Sinv, A_of = dense_pieces(panel)
     seed, probes = 5, 7
 
@@ -711,6 +713,36 @@ def test_stochastic_decomposition_solves_shared_columns(method, columns_per_prob
     assert len(columns) == stages * math.ceil(probes / batch)
 
 
+@pytest.mark.parametrize("cg", (False, True))
+def test_leave_out_batches_at_least_cg_min_width_under_cg(cg, monkeypatch):
+    """A budget below one cell-length column: on the dense factor (8 m^2
+    within the budget) each leave-out batch is one probe; under CG (a budget
+    just below 8 m^2) each is CG_MIN_WIDTH probes, the last one less. The
+    leverage batches solve one column per probe, the alpha and psi maps two."""
+    panel, _, loo, est_panel, est = loo_estimated(seed=5)
+    m = est_panel.n_firms - 1
+    budget = 8 * m * m - 8 if cg else 8 * m * m
+    assert budget < 8 * est.design.cells.size
+    monkeypatch.setattr(correct_module, "PROBE_BLOCK_BYTES", budget)
+    columns = []
+    schur_solver = correct_module._schur_solver
+
+    def counted(design, cg_tol):
+        solve = schur_solver(design, cg_tol)
+
+        def counted_solve(t):
+            columns.append(t.shape[1])
+            return solve(t)
+
+        return counted_solve
+
+    monkeypatch.setattr(correct_module, "_schur_solver", counted)
+    corrected_decomposition(est_panel, est, "leave_out", "stochastic", probes=10, seed=0)
+    widths = [4, 4, 2] if cg else [1] * 10
+    assert correct_module.CG_MIN_WIDTH == 4
+    assert columns == widths + [2 * w for w in widths]
+
+
 @pytest.mark.parametrize("n_covariates", (0, 2))
 @pytest.mark.parametrize("method", ("homoskedastic_trace", "leave_out"))
 def test_dense_factor_and_cg_agree(method, n_covariates, monkeypatch):
@@ -835,7 +867,8 @@ def test_cell_longer_than_one_word_draws_its_sums(monkeypatch):
     cells = design.cells
     long = int(np.flatnonzero(cells.counts == 70)[0])
     probes = 4000
-    sums = np.hstack(list(correct_module._probe_sums(cells, probes, np.random.default_rng(3))))
+    width = correct_module._width(design, cells.size)
+    sums = np.hstack(list(correct_module._probe_sums(cells, probes, np.random.default_rng(3), width)))
     assert sums.shape == (cells.size, probes)
     rows = cells.counts[:, None]
     assert np.all(np.abs(sums) <= rows) and np.all((sums - rows) % 2 == 0)

@@ -11,6 +11,7 @@ from twowayfe import (
     build_graph,
     largest_connected_set,
     leave_one_out_connected_set,
+    restrict_panel,
 )
 from twowayfe.correct import compute_leverages
 from twowayfe.network import _cut_movers
@@ -387,6 +388,20 @@ class TestLeaveOneOut:
             expected = oracle_leave_one_out(external_pairs(panel))
             got = leave_one_out_connected_set(build_graph(panel), panel)
             assert (sorted(got.firms), sorted(got.workers)) == expected
+
+    def test_graph_of_another_panel_is_data_error(self):
+        """The graph of a restricted panel does not pass for the full panel's,
+        nor the reverse; the graph of an equal panel does."""
+        rng = np.random.default_rng(3)
+        panel = random_connected_panel(rng, n_workers=25, n_firms=6, mover_share=0.5)
+        kept = restrict_panel(panel, panel.worker_ids[1:], panel.firm_ids)
+        assert kept.worker_ids != panel.worker_ids
+        for graph_of, used in ((kept, panel), (panel, kept)):
+            with pytest.raises(DataError, match="mobility graph was built from another panel"):
+                leave_one_out_connected_set(build_graph(graph_of), used)
+        twin = restrict_panel(panel, panel.worker_ids, panel.firm_ids)
+        assert leave_one_out_connected_set(build_graph(twin), panel) == (
+            leave_one_out_connected_set(build_graph(panel), panel))
 
     def test_too_sparse_raises(self):
         # one mover connecting two one-worker firms: nothing survives

@@ -640,7 +640,7 @@ class TestColumnarOracles:
             lost_workers += len(keep_w) - got.n_workers
         assert lost_workers > 50
 
-    @pytest.mark.parametrize("delimiter", [",", " ", "\t", ".", "e", "1", "-", "+"])
+    @pytest.mark.parametrize("delimiter", [",", ";", "%", " ", "\t", ".", "e", "1", "-", "+"])
     def test_write_quotes_where_row_by_row_writer_does(self, tmp_path, delimiter):
         """Ids and delimiters that make csv.writer quote a field, and ones that
         do not: the output is the row-by-row writer's, and it loads back."""
