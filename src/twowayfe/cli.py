@@ -348,9 +348,11 @@ def cmd_estimate(config: dict, out_dir: str, *, panel=None, conn=None) -> Estima
 def cmd_decompose(config: dict, out_dir: str, *, fit=None) -> None:
     run = Run("decompose", out_dir, config, [config.get("panel", ""), config.get("set", "")])
     est = _fit(config) if fit is None else fit
-    dec = decompose_variance(est.panel, est, bool(config.get("include_covariates", False)))
+    include_covariates = bool(config.get("include_covariates", False))
+    dec = decompose_variance(est.panel, est, include_covariates)
     _write_json(run.path("decomposition.json"), dec.to_json_dict())
-    split = between_within_split(est.panel)
+    # the split of the same total: Var(Y - X beta) unless covariates are included
+    split = between_within_split(est.panel, None if include_covariates else est)
     _write_json(
         run.path("between_within.json"),
         {

@@ -27,12 +27,13 @@ backend builds one (P_c, B_c) table per cell, for all components, keeps it on
 the Design for every exact correction of that fit, and takes each correction
 as one sum over the cells, sum_c B_c w_c: w_c = T_c, the cell's rows, for the
 trace (sum_o x_o x_o' = S, so trace(A S^{-1}) = sum_o B_oo), the cell's sum of
-sigma_o^2 for the leave-out. Per cell it forms y = V t, V the explicit
-inverse of the m = (F-1+K)-dimensional Schur complement of S and t sparse,
-and every B_c from sums in that space: O(m^3) for V plus O(m * nnz(t)) per
-mover cell (stayer cells without covariates need no product). Memory is one
-m x m array while the table is built, plus chunk * m per block of cells,
-then 5 floats per cell kept. Quadratic-form matrices are never materialized.
+sigma_o^2 for the leave-out. Per cell it forms y = V t, V the explicit inverse
+of the m = (F-1+K)-dimensional Schur complement of S (`Design.schur_inverse`,
+in place of a direct fit's kept factor) and t sparse, and every B_c from sums
+in that space: O(m^3) for V plus O(m * nnz(t)) per mover cell (stayer cells
+without covariates need no product). Memory is one m x m array while the table
+is built, plus chunk * m per block of cells, then 5 floats per cell kept.
+Quadratic-form matrices are never materialized.
 
 The stochastic backend works in the same Schur space. The homoskedastic
 trace probes are Rademacher over the m Schur coordinates, O(m) to draw: one
@@ -47,18 +48,17 @@ Schur space through T (`_schur_rows`), the cells' reduced rows:
 O(cells + nnz(T)) per probe outside the solve, with no pass over
 observations (sigma2_o is reduced to per-cell sums once per call). Per-cell
 values are weighted by the cell's sum of sigma2_o.
-Every solve batch of one call runs the same solver, chosen once per call
-(`_schur_solver`): when the dense Cholesky factor of the Schur complement is
-no larger than one probe temporary (8 m^2 <= PROBE_BLOCK_BYTES), it is formed
-once and each batch is one cho_solve, O(m^2 b); otherwise each batch is one
-batched CG run against the Schur complement, which the Design assembles once
-as a sparse m x m matrix, O(iterations * nnz(Schur) * b). Each stage solves
-its probes in batches of b = PROBE_BLOCK_BYTES // (8 cells) columns (8m for
-the trace probes), at least 1 on the dense factor and at least CG_MIN_WIDTH
-under CG (`_width`); the sparse transposes a leave-out batch reads are formed
-once per stage. Probes follow the seeded stream in one-at-a-time
-order, so the draws do not depend on the width; sums over a batch's columns
-do, in their last bits.
+Every probe solve runs on the Design's own Schur solver (`Design.solve_schur`),
+chosen once per Design and shared with the fit: one cho_solve on the dense
+Cholesky factor the Design keeps from its first solve, O(m^2 b) per batch,
+when that factor fits one probe temporary (8 m^2 <= PROBE_BLOCK_BYTES);
+otherwise one batched CG run against the sparse m x m Schur complement,
+O(iterations * nnz(Schur) * b). Each stage solves its probes in batches of
+b = PROBE_BLOCK_BYTES // (8 cells) columns (8m for the trace probes), at
+least 1 on the dense factor and at least CG_MIN_WIDTH under CG (`_width`);
+the sparse transposes a leave-out batch reads are formed once per stage.
+Probes follow the seeded stream in one-at-a-time order, so the draws do not
+depend on the width; sums over a batch's columns do, in their last bits.
 Leave-out leverages are JLA-normalized, P^/(P^ + M^), so they stay below one.
 All components of one call share one probe stream, default_rng(seed): at P
 probes a homoskedastic decomposition solves P columns (one V z serves every
@@ -78,11 +78,10 @@ import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
-import scipy.linalg
 import scipy.sparse as sp
 
 from .decompose import Decomposition, decompose_variance
-from .design import Cells, Design
+from .design import PROBE_BLOCK_BYTES, Cells, Design
 from .errors import ConfigError, DataError, NumericalError
 from .network import ConnectedSet
 from .panel import Panel, restrict_panel
@@ -100,12 +99,8 @@ BACKENDS = ("exact", "stochastic")
 LEVERAGE_CAP = 1.0 - 1e-10
 DEFAULT_PROBES = 100
 DEFAULT_CG_TOL = 1e-8
-# Bytes of one float64 temporary in the probe loops: sets the number of
-# probes solved together (cell-length or Schur-length columns) and whether
-# the probe solves use a dense Schur factor (8 m^2 bytes at most).
-PROBE_BLOCK_BYTES = 1 << 19
 # The fewest probes in a batch solved by CG: one CG iteration on k columns
-# costs much less than k iterations on one column, and the budget above holds
+# costs much less than k iterations on one column, and PROBE_BLOCK_BYTES holds
 # a single cell-length column once cells exceed 32k. Chosen at 1M observations
 # (128.6k cells): 4 columns cut the stochastic leave-out by about a third at
 # a peak a few MB higher; 8 cut it by about 40% at a peak some 40 MB higher.
@@ -180,19 +175,11 @@ def _plug_ins(plug: Decomposition) -> dict:
     }
 
 
-def _dense_factor(design: Design) -> bool:
-    """Whether the probe solves of a call use the dense Cholesky factor of the
-    Schur complement: when it is no larger than one probe temporary
-    (8 m^2 <= PROBE_BLOCK_BYTES); otherwise they run CG."""
-    m = design.F - 1 + design.K
-    return 0 < 8 * m * m <= PROBE_BLOCK_BYTES
-
-
 def _width(design: Design, size: int) -> int:
     """Probes per solve batch for float64 columns of length `size`: as many as
-    PROBE_BLOCK_BYTES holds, and at least 1 on the dense factor, whose batches
-    are cache-bound, or CG_MIN_WIDTH under CG."""
-    return max(PROBE_BLOCK_BYTES // (8 * size), 1 if _dense_factor(design) else CG_MIN_WIDTH)
+    this module's PROBE_BLOCK_BYTES holds, and at least 1 on the dense factor
+    (cache-bound batches) or CG_MIN_WIDTH under CG (`design.direct`)."""
+    return max(PROBE_BLOCK_BYTES // (8 * size), 1 if design.direct else CG_MIN_WIDTH)
 
 
 def _spans(count: int, width: int) -> list[slice]:
@@ -218,24 +205,10 @@ def _stderr(vals: np.ndarray) -> float:
     return float(vals.std(ddof=1) / np.sqrt(vals.size))
 
 
-def _schur_solver(design: Design, cg_tol: float):
-    """t -> Schur^{-1} t for t of shape (m, k), the solver of every probe batch
-    of one correction call, chosen once. Where `_dense_factor` holds, the
-    dense Cholesky factor is formed once (`Design.schur_cholesky`) and each
-    batch is one cho_solve: the factor stays in cache, so its cost does not
-    depend on the batch width. Larger Schur complements keep batched CG
-    (`Design.solve_schur`) at `cg_tol`. The factor lives as long as the
-    returned solver."""
-    if _dense_factor(design):
-        factor = (design.schur_cholesky(), True)
-        return lambda t: scipy.linalg.cho_solve(factor, t, check_finite=False)
-    return lambda t: design.solve_schur(t, rtol=cg_tol)[0]
-
-
-def _trace_probes(forms: list[QuadraticForm], probes: int, rng, solve) -> dict:
+def _trace_probes(forms: list[QuadraticForm], probes: int, rng, cg_tol: float) -> dict:
     """Per-probe estimates of trace(A S^{-1}) of every form, z Rademacher over
     the m Schur coordinates: one solve u = V z per probe (V = Schur^{-1},
-    `solve` from `_schur_solver`) serves all forms.
+    `Design.solve_schur`, CG at `cg_tol`) serves all forms.
 
     S^{-1} has the worker block D^{-1} + D^{-1} C V C' D^{-1} and the cross
     block -D^{-1} C V (C = contact, D = diag(d_w)). With s = G'1, n_F its firm
@@ -248,14 +221,13 @@ def _trace_probes(forms: list[QuadraticForm], probes: int, rng, solve) -> dict:
         cov:       F - 1 - (G'G u)_P'z_P + (u's)(n_F'z)/n,
     and var_alpha_plus_psi their sum with the covariance twice."""
     design = forms[0].design
-    n, F1 = design.n, design.F - 1
-    m = F1 + design.K
+    n, F1, m = design.n, design.F - 1, design.m
     s = np.concatenate([design.g_firm[:F1], design.panel.covariates.sum(axis=0)])
     n_f = s[:F1]
     vals = {f.component: [] for f in forms}
     for batch in _spans(probes, _width(design, max(m, 1))):
         z = _rademacher(rng, batch, m).T.astype(np.float64, order="C")
-        u = solve(z)
+        u = design.solve_schur(z, cg_tol)[0]
         gu = design.gtg @ u  # G'G u, so u'G'G z = (G'G u)'z, G'G being symmetric
         u_s, s_z = s @ u, s @ z
         f_z = n_f @ z[:F1]
@@ -280,8 +252,7 @@ def hutchinson_trace_quadratic(
     the per-probe values of `_trace_probes`. Returns (estimate, MC standard
     error)."""
     _check_probes(probes)
-    solve = _schur_solver(form.design, cg_tol)
-    vals = _trace_probes([form], probes, np.random.default_rng(seed), solve)[form.component]
+    vals = _trace_probes([form], probes, np.random.default_rng(seed), cg_tol)[form.component]
     return float(vals.mean()), _stderr(vals)
 
 
@@ -391,7 +362,7 @@ def _probe_sums(cells: Cells, probes: int, rng, width: int):
 
 
 def _stochastic_leverages(design: Design, T: sp.csr_matrix, probes: int, rng,
-                          solve) -> np.ndarray:
+                          cg_tol: float) -> np.ndarray:
     """JLA leverage estimates P^/(P^ + M^) per cell, which lie in (0, 1].
 
     With S w_r = D' z_r, z_r Rademacher over observations, D w_r = P z_r and
@@ -413,7 +384,7 @@ def _stochastic_leverages(design: Design, T: sp.csr_matrix, probes: int, rng,
     p_hat = np.zeros(cells.size)
     m_hat = np.zeros(cells.size)
     for sums in _probe_sums(cells, probes, rng, _width(design, cells.size)):
-        pz = T @ solve(T_t @ sums)
+        pz = T @ design.solve_schur(T_t @ sums, cg_tol)[0]
         pz += ((worker_t @ sums) / d)[cells.worker_idx]
         p_hat += np.einsum("ij,ij->i", pz, pz)
         sums /= cells.counts[:, None]  # each probe's mean over the cell's rows
@@ -424,7 +395,7 @@ def _stochastic_leverages(design: Design, T: sp.csr_matrix, probes: int, rng,
     return np.divide(p_hat, m_hat, out=m_hat)
 
 
-def _cell_maps(forms: list[QuadraticForm], T: sp.csr_matrix, probes: int, rng, solve):
+def _cell_maps(forms: list[QuadraticForm], T: sp.csr_matrix, probes: int, rng, cg_tol: float):
     """Per batch of Rademacher probes z over observations, {b: D S^{-1} H_b' z}
     per cell (cells x batch) for each distinct observation map b of the forms
     (H_b its centered selector), the maps' reduced right-hand sides solved
@@ -453,7 +424,7 @@ def _cell_maps(forms: list[QuadraticForm], T: sp.csr_matrix, probes: int, rng, s
                 rhs[:, i * k : (i + 1) * k] -= alpha_rhs
             if b in ("psi", "alpha_plus_psi"):
                 rhs[:F1, i * k : (i + 1) * k] += psi_rhs
-        y = solve(rhs)
+        y = design.solve_schur(rhs, cg_tol)[0]
         del rhs
         values = T @ y
         del y
@@ -494,13 +465,12 @@ def compute_leverages(
     else:
         rng = np.random.default_rng(seed)
         T = _schur_rows(design)
-        solve = _schur_solver(design, cg_tol)
-        lev = _stochastic_leverages(design, T, probes, rng, solve)
+        lev = _stochastic_leverages(design, T, probes, rng, cg_tol)
         # per probe, the weight product averages to n * B_oo (Rademacher
         # coordinates are independent)
         left, right = form.blocks
         bw = np.zeros(design.cells.size)
-        for maps in _cell_maps([form], T, probes, rng, solve):
+        for maps in _cell_maps([form], T, probes, rng, cg_tol):
             bw += np.einsum("ij,ij->i", maps[left], maps[right])
         bw /= probes * design.n
     inverse = design.cells.inverse  # a cell's rows share its values
@@ -529,17 +499,17 @@ def _leave_out_sums(design: Design, estimates: Estimates, lev: np.ndarray,
 
 
 def _leave_out_probes(estimates: Estimates, forms: list[QuadraticForm], probes: int,
-                      rng, solve) -> dict:
+                      rng, cg_tol: float) -> dict:
     """Per-probe z'Hl S^{-1} D' diag(sigma2_o) D S^{-1} Hr' z / n of every form,
     whose mean over probes is sum_o B_oo sigma2_o, sigma2_o the leave-one-out
     variances from one JLA leverage estimate: 1 + b solved columns per probe
     for the forms' b distinct observation maps."""
     design = forms[0].design
     T = _schur_rows(design)
-    lev = _stochastic_leverages(design, T, probes, rng, solve)
+    lev = _stochastic_leverages(design, T, probes, rng, cg_tol)
     sigma2_cell = _leave_out_sums(design, estimates, lev, probes)
     vals = {f.component: [] for f in forms}
-    for maps in _cell_maps(forms, T, probes, rng, solve):
+    for maps in _cell_maps(forms, T, probes, rng, cg_tol):
         for f in forms:
             left, right = f.blocks
             v = np.einsum("ij,ij,i->j", maps[left], maps[right], sigma2_cell)
@@ -567,11 +537,10 @@ def _corrections(estimates: Estimates, forms: list[QuadraticForm], method: str, 
         stochastic = {}
     else:
         rng = np.random.default_rng(seed)
-        solve = _schur_solver(design, cg_tol)  # every solve of the call
         if homoskedastic:
-            vals = _trace_probes(forms, probes, rng, solve)
+            vals = _trace_probes(forms, probes, rng, cg_tol)
         else:
-            vals = _leave_out_probes(estimates, forms, probes, rng, solve)
+            vals = _leave_out_probes(estimates, forms, probes, rng, cg_tol)
         stochastic = {"probes_used": probes, "seed": seed}
     plug_in = _plug_ins(plug)
     results = {}

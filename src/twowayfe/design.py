@@ -12,10 +12,17 @@ of length p = W + F - 1 + K. All solvers work on the normal equations
 S phi = D' y with S = D'D, exploiting that the worker block of S is diagonal:
 eliminating it leaves the Schur complement G'G - C' D_w^{-1} C of dimension
 m = F - 1 + K (G the firm/covariate block of D, C = contact). It is assembled
-once as a sparse m x m matrix: CG iterates on it directly, the exact
-backend reads its dense inverse from `schur_inverse`, built on each call,
-and the stochastic backend solves against its dense Cholesky factor
-(`schur_cholesky`) when m is small.
+once as a sparse m x m matrix.
+
+A Design is the one place that decides how the Schur system is solved, once,
+on first use (`direct`): when the lower Cholesky factor of its dense form
+fits one PROBE_BLOCK_BYTES temporary (8 m^2 bytes, so m <= 256), the factor
+is formed then and kept, and every solve is one cho_solve on it; otherwise
+every solve runs Jacobi-preconditioned CG on the sparse form. The fit, the
+covariate check and every stochastic probe solve go through `solve_schur`,
+and the exact backend's `schur_inverse` turns the kept factor into the dense
+inverse in place and drops it, so an exact correction of a fit that solved
+directly forms no factor of its own.
 
 A Design holds its panel's distinct (worker, firm, covariate row) cells
 (`Design.cells`), built with it, and no observation-level copy of D: the
@@ -36,6 +43,11 @@ import scipy.sparse as sp
 from .errors import DataError, NumericalError
 from .network import _components, worker_firm_incidence
 from .panel import Panel
+
+# Bytes of one float64 temporary: a Design keeps its dense Schur factor if it
+# fits (8 m^2 at most). correct.py binds this value at import for its probe
+# batch widths (`_width`) alone, so setting one module's name keeps the other.
+PROBE_BLOCK_BYTES = 1 << 19
 
 
 class Cells:
@@ -97,13 +109,15 @@ class Design:
         self.panel = panel
         self.n = panel.n_obs
         self.W, self.F, self.K = panel.n_workers, panel.n_firms, panel.covariate_count
-        self.p = self.W + self.F - 1 + self.K
+        self.m = self.F - 1 + self.K  # the Schur complement's dimension
+        self.p = self.W + self.m
         self.cells = Cells(panel)
         self.d_worker = np.bincount(panel.worker_idx, minlength=self.W).astype(np.float64)
         self.g_firm = np.bincount(panel.firm_idx, minlength=self.F).astype(np.float64)
         weighted = sp.diags(self.cells.counts) @ self.cells.g_mat
         self.contact = (self.cells.worker_mat.T @ weighted).tocsr()  # W x (F-1+K)
         self.exact_table = None  # per cell (P_c, {component: B_c}), see correct._exact_table
+        self.schur_factor = None  # kept where `direct` holds, see solve_schur
 
     # -- block slices ----------------------------------------------------
     @property
@@ -154,30 +168,21 @@ class Design:
     def schur_diag(self) -> np.ndarray:
         return self.schur.diagonal()
 
-    def _reduce_rhs(self, b: np.ndarray):
-        b_a = b[self.alpha_slice]
-        b_g = b[self.W :]
-        if b.ndim == 1:
-            t = b_g - self.contact.T @ (b_a / self.d_worker)
-        else:
-            t = b_g - self.contact.T @ (b_a / self.d_worker[:, None])
-        return b_a, t
-
-    def _back_substitute(self, b_a: np.ndarray, y_g: np.ndarray) -> np.ndarray:
-        if b_a.ndim == 1:
-            y_a = (b_a - self.contact @ y_g) / self.d_worker
-            return np.concatenate([y_a, y_g])
-        y_a = (b_a - self.contact @ y_g) / self.d_worker[:, None]
-        return np.vstack([y_a, y_g])
+    @cached_property
+    def direct(self) -> bool:
+        """Whether Schur solves run on the dense Cholesky factor rather than CG:
+        when the factor fits one PROBE_BLOCK_BYTES temporary (0 < 8 m^2 <=
+        PROBE_BLOCK_BYTES, so m <= 256). Decided on first use, then fixed."""
+        return 0 < 8 * self.m * self.m <= PROBE_BLOCK_BYTES
 
     def schur_cholesky(self) -> np.ndarray:
         """The lower Cholesky factor of the dense m x m Schur complement, for
         scipy.linalg.cho_solve(..., lower=True): cho_factor overwrites one
         Fortran-ordered array in place (its upper triangle keeps the Schur
-        complement's entries, which cho_solve does not read). The factor is
-        not kept. A NumericalError names m, the 8 m^2 bytes and the stochastic
-        backend if that array cannot be allocated."""
-        m = self.F - 1 + self.K
+        complement's entries, which cho_solve does not read). A NumericalError
+        names m if the complement is not positive definite, and m, the 8 m^2
+        bytes and the stochastic backend if that array cannot be allocated."""
+        m = self.m
         try:
             L = self.schur.toarray(order="F")
         except MemoryError:
@@ -185,46 +190,62 @@ class Design:
                 f"the exact backend needs a dense {m} x {m} Schur matrix ({8 * m * m} "
                 f"bytes), which could not be allocated; use backend='stochastic'"
             ) from None
-        return scipy.linalg.cho_factor(L, lower=True, overwrite_a=True, check_finite=False)[0]
+        try:
+            return scipy.linalg.cho_factor(L, lower=True, overwrite_a=True, check_finite=False)[0]
+        except scipy.linalg.LinAlgError as exc:
+            raise NumericalError(
+                f"the {m} x {m} Schur complement is not positive definite ({exc})"
+            ) from None
 
     def schur_inverse(self) -> np.ndarray:
         """V, the inverse of the dense m x m Schur complement, C-ordered (V is
-        symmetric): LAPACK dpotri overwrites the `schur_cholesky` factor in
-        place (whose NumericalError a failed allocation raises), and its lower
-        triangle is mirrored a block of rows at a time."""
-        m = self.F - 1 + self.K
-        V = self.schur_cholesky()
+        symmetric): LAPACK dpotri overwrites the kept factor in place, or a
+        `schur_cholesky` factor formed here where none is kept, and its lower
+        triangle is mirrored a block of rows at a time. The Design keeps no
+        factor afterwards: its next direct solve forms one again."""
+        V = self.schur_factor if self.schur_factor is not None else self.schur_cholesky()
+        self.schur_factor = None  # V is about to overwrite it
         V, info = scipy.linalg.lapack.dpotri(V, lower=1, overwrite_c=1)
         if info:
             raise NumericalError(f"LAPACK dpotri failed on the Schur factor (info={info})")
-        for lo in range(0, m, 256):  # rows lo:hi of the upper triangle from columns lo:hi
-            hi = min(lo + 256, m)
+        for lo in range(0, self.m, 256):  # rows lo:hi of the upper triangle from columns lo:hi
+            hi = min(lo + 256, self.m)
             V[lo:hi, lo:] = np.triu(V[lo:, lo:hi].T) + np.tril(V[lo:hi, lo:], -1)
         return V.T
 
     def solve_cg(self, b: np.ndarray, rtol=1e-12, maxiter=10000):
         """S^{-1} b for b of shape (p,) or (p, k): the worker block eliminated,
-        the reduced right-hand sides t solved by `solve_schur`, the worker
-        block back-substituted. Column c stops once ||r_c|| <= rtol * ||t_c||.
-        Returns (solution, iterations of the slowest column). Raises
-        NumericalError if a column has not reached `rtol` within `maxiter`
-        iterations.
+        the reduced right-hand sides solved by `solve_schur`, the worker
+        block back-substituted. Returns (solution, iterations of the slowest
+        column), 0 for a direct solve; `rtol` and `maxiter` apply to CG only.
         """
-        b_a, t = self._reduce_rhs(b)
-        y, iters = self.solve_schur(t, rtol, maxiter)
-        return self._back_substitute(b_a, y), iters
+        d = self.d_worker if b.ndim == 1 else self.d_worker[:, None]
+        b_a = b[self.alpha_slice]
+        y, iters = self.solve_schur(b[self.W :] - self.contact.T @ (b_a / d), rtol, maxiter)
+        return np.concatenate([(b_a - self.contact @ y) / d, y]), iters
 
     def solve_schur(self, t: np.ndarray, rtol=1e-12, maxiter=10000):
-        """Schur^{-1} t for t of shape (m,) or (m, k), by Jacobi-preconditioned
-        conjugate gradient; returns (solution, iterations of the slowest
-        column).
+        """Schur^{-1} t for t of shape (m,) or (m, k); returns (solution,
+        iterations of the slowest column). Where `direct` holds, one cho_solve
+        on the kept factor, formed on first use, and 0 iterations; otherwise
+        Jacobi-preconditioned CG (`_pcg`)."""
+        if not self.direct:
+            return self._pcg(t, rtol, maxiter)
+        if self.schur_factor is None:
+            self.schur_factor = self.schur_cholesky()
+        return scipy.linalg.cho_solve((self.schur_factor, True), t, check_finite=False), 0
+
+    def _pcg(self, t: np.ndarray, rtol, maxiter):
+        """Schur^{-1} t by Jacobi-preconditioned conjugate gradient; returns
+        (solution, iterations of the slowest column).
 
         The k columns run k independent CG recurrences side by side (batched,
         not block-Krylov), so each column's result is that of a solve on its
         own; column c stops once ||r_c|| <= rtol * ||t_c||. The columns still
         iterating are kept side by side and updated in place, in preallocated
         buffers; a column is written to the solution when it stops. Cost is
-        O(iterations * nnz(Schur) * k).
+        O(iterations * nnz(Schur) * k). Raises NumericalError if a column has
+        not reached `rtol` within `maxiter` iterations.
         """
         m = t.shape[0]
         y = np.zeros(t.shape)

@@ -13,8 +13,12 @@ zigzag : alternating exact minimization. Given psi and beta, each alpha_i is a
     firm-specific average; given both, beta is a small dense regression on
     partial residuals. Iterate to a fixed point.
 conjugate_gradient : the default. Eliminate the worker effects analytically
-    and run preconditioned CG on the remaining firm/covariate system. Scales
-    to millions of observations.
+    and solve the remaining firm/covariate (Schur) system on the fit's Design
+    (`Design.solve_schur`): directly, on its dense Cholesky factor, when that
+    factor fits the Design's budget (m = F - 1 + K <= 256; `iterations` then
+    reads 0 and `final_change` 0.0), otherwise by Jacobi-preconditioned CG,
+    which scales to millions of observations. `tol` and `max_iter` bound CG
+    only.
 dense_oracle : explicit dense normal-equations solve via lstsq; small panels
     only, used as the reference the iterative methods are checked against.
 first_differences : difference consecutive observations within worker so the
@@ -84,8 +88,9 @@ class Estimates:
     @cached_property
     def design(self) -> Design:
         """The estimation panel's Design, shared by every correction of this
-        fit: the one a conjugate-gradient fit solved on, built on first use
-        for the other methods."""
+        fit: the one a conjugate-gradient fit solved on (with the Schur factor
+        it kept, up to 512 KiB while the fit lives, if it solved directly),
+        built on first use for the other methods."""
         return Design(self.panel)
 
     def alpha_of(self, worker_id: str) -> float:
@@ -213,7 +218,7 @@ def _estimate_cg(panel: Panel, config: SolverConfig) -> Estimates:
     alpha = phi[design.alpha_slice]
     psi = np.concatenate([phi[design.psi_slice], [0.0]])
     beta = phi[design.beta_slice]
-    est = _finish(panel, alpha, psi, beta, config, iters, rtol)
+    est = _finish(panel, alpha, psi, beta, config, iters, 0.0 if design.direct else rtol)
     vars(est)["design"] = design  # what the cached property would hold
     return est
 

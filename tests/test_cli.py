@@ -1,6 +1,7 @@
 import csv
 import json
 import os
+import re
 import sys
 
 import numpy as np
@@ -236,6 +237,40 @@ def count_calls(monkeypatch, module, name):
         if mod.__name__.startswith("twowayfe") and getattr(mod, name, None) is original:
             monkeypatch.setattr(mod, name, counted)
     return calls
+
+
+class TestDecomposeSplit:
+    @pytest.mark.parametrize("include_covariates", (False, True))
+    def test_split_total_is_the_decomposed_total(self, tmp_path, include_covariates):
+        """With covariates, between_within.json splits the variance that
+        decomposition.json decomposes: Var(Y - X beta), or Var(Y) when the
+        covariates are included."""
+        raw, settings = covariate_csv(tmp_path)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({**settings, "include_covariates": include_covariates}))
+        out = tmp_path / "d"
+        assert run_cli("decompose", "--panel", raw, "--config", str(cfg), "--out", str(out)) == 0
+        total = read_json(out / "decomposition.json")["total"]
+        split = read_json(out / "between_within.json")
+        assert split["total"] == pytest.approx(total, rel=1e-12, abs=0.0)
+        assert split["between_firm_variance"] + split["within_firm_variance"] == split["total"]
+
+    def test_split_without_covariates_is_the_split_of_y(self, tmp_path, fixture_file):
+        """Without covariates Y - X beta is Y: the file is byte for byte the
+        split of the wages alone."""
+        from twowayfe import between_within_split, estimate, load_panel
+
+        out = tmp_path / "d"
+        assert run_cli("decompose", "--panel", fixture_file, "--out", str(out)) == 0
+        panel, _ = load_panel(fixture_file)
+        split = between_within_split(estimate(panel).panel)
+        expected = tmp_path / "expected.json"
+        cli._write_json(str(expected), {
+            "between_firm_variance": split.between_firm_variance,
+            "within_firm_variance": split.within_firm_variance,
+            "total": split.total,
+        })
+        assert (out / "between_within.json").read_bytes() == expected.read_bytes()
 
 
 class TestPipelineInMemory:
@@ -569,6 +604,25 @@ class TestCorrectAndDiagnostics:
         assert "Schur matrix" in err["error"]["message"]
         assert "backend='stochastic'" in err["error"]["message"]
 
+    def test_failed_schur_factorization_is_numerical_error(self, tmp_path, capsys, monkeypatch):
+        """A Schur complement that Cholesky rejects ends the command with exit
+        code 4 and a JSON error line naming m, not a traceback."""
+        import scipy.linalg
+
+        panel = self.simulated_csv(tmp_path)
+
+        def fail(*args, **kwargs):
+            raise scipy.linalg.LinAlgError("3-th leading minor of the array is not positive definite")
+
+        monkeypatch.setattr(scipy.linalg, "cho_factor", fail)
+        code = run_cli(
+            "correct", "--panel", panel, "--backend", "stochastic", "--out", str(tmp_path / "c"),
+        )
+        assert code == cli.EXIT_NUMERICAL == 4
+        err = json.loads(capsys.readouterr().out.strip().splitlines()[-1])["error"]
+        assert err["kind"] == "numerical" and err["command"] == "correct"
+        assert re.search(r"the \d+ x \d+ Schur complement is not positive definite", err["message"])
+
     @pytest.mark.parametrize("correction", ("homoskedastic_trace", "leave_out"))
     @pytest.mark.parametrize("probes", (0, 1, -3))
     def test_probe_count_below_two_is_config_error(self, tmp_path, capsys, correction, probes):
@@ -640,7 +694,12 @@ class TestCorrectAndDiagnostics:
         assert "rank deficient" in err["error"]["message"]
         assert "'exper', 'tenure'" in err["error"]["message"]
 
-    def test_non_convergence_is_numerical_error(self, tmp_path, capsys):
+    def test_non_convergence_is_numerical_error(self, tmp_path, capsys, monkeypatch):
+        """CG out of iterations is exit 4; the Design's budget is lowered to
+        zero so that this small fit runs CG instead of its direct solve."""
+        from twowayfe import design as design_module
+
+        monkeypatch.setattr(design_module, "PROBE_BLOCK_BYTES", 0)
         cfg = tmp_path / "cfg.json"
         cfg.write_text(
             json.dumps(

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse
 
 from twowayfe import (
@@ -22,6 +23,7 @@ from twowayfe import (
     simulate_panel,
 )
 from twowayfe import correct as correct_module
+from twowayfe import design as design_module
 from twowayfe.correct import (
     QuadraticForm,
     _exact_tables,
@@ -472,9 +474,12 @@ def test_stochastic_leverage_above_one_is_numerical_error():
 
 def test_schur_allocation_failure_is_numerical_error(monkeypatch):
     """A dense Schur matrix too large for memory names m, its bytes and the
-    stochastic backend instead of escaping as a MemoryError."""
+    stochastic backend instead of escaping as a MemoryError. The fit runs
+    CG (the Design's budget lowered to zero), as it does where the matrix is
+    that large, so it keeps no factor for the exact correction to reuse."""
     from twowayfe import NumericalError
 
+    monkeypatch.setattr(design_module, "PROBE_BLOCK_BYTES", 0)
     panel, _, loo, est_panel, est = loo_estimated(seed=5)
 
     def no_memory(self, *args, **kwargs):
@@ -612,6 +617,37 @@ def test_probe_stream_matches_one_at_a_time_dense_oracle(
     assert np.abs(table.component_weight - weights).max() <= 1e-8 * np.abs(weights).max()
 
 
+@pytest.mark.parametrize(
+    "trace_width, cell_width, n_covariates",
+    [(None, None, 0), (3, 6, 0), (2, 5, 0), (3, 3, 2)],
+    ids=["None", "3", "batch_spans_draws", "covariates"],
+)
+def test_probe_stream_matches_one_at_a_time_dense_oracle_by_cg(
+    trace_width, cell_width, n_covariates, monkeypatch
+):
+    """The dense-oracle test above with every Design's budget lowered to zero,
+    so each probe batch runs CG at the width the probe budget sets: for each
+    of the 4 forms the 7 trace probes in batches of `trace_width`, then the
+    leverage probes in batches of `cell_width`, one column per probe, and the
+    alpha and psi maps, two columns per probe (one batch of 7 at the default
+    budget)."""
+    monkeypatch.setattr(design_module, "PROBE_BLOCK_BYTES", 0)
+    widths = []
+    pcg = Design._pcg
+
+    def counted(self, t, *args, **kwargs):
+        widths.append(t.shape[1])
+        return pcg(self, t, *args, **kwargs)
+
+    monkeypatch.setattr(Design, "_pcg", counted)
+    test_probe_stream_matches_one_at_a_time_dense_oracle(
+        trace_width, cell_width, n_covariates, monkeypatch
+    )
+    trace = [s.stop - s.start for s in correct_module._spans(7, trace_width or 7)]
+    cell = [s.stop - s.start for s in correct_module._spans(7, cell_width or 7)]
+    assert widths == trace * 4 + cell + [2 * w for w in cell]
+
+
 @pytest.mark.parametrize("n_covariates", (0, 2))
 def test_schur_space_traces_within_mc_error_of_exact(n_covariates):
     """Every form's Schur-space probe estimate lies within 4 mc_stderr of the
@@ -676,34 +712,28 @@ def test_stochastic_decomposition_components_equal_single_form_corrections(
 @pytest.mark.parametrize("method, columns_per_probe", (("homoskedastic_trace", 1), ("leave_out", 3)))
 def test_stochastic_decomposition_solves_shared_columns(method, columns_per_probe, monkeypatch):
     """Homoskedastic: one V z per probe serves the three forms. Leave-out: one
-    leverage column plus one per distinct observation map (alpha, psi). The
-    call picks one Schur solver and runs every batch through it, on whichever
-    path (here the dense factor: 8 m^2 is within the budget). Each stage
-    solves its probes in batches as wide as the budget allows for cell-length
-    columns (m-length ones for the trace probes): ceil(probes / batch) solves
-    per stage."""
+    leverage column plus one per distinct observation map (alpha, psi). Every
+    batch runs on the fit's Design and its one Schur solver (here the dense
+    factor: 8 m^2 is within the Design's budget). Each stage solves its
+    probes in batches as wide as the budget allows for cell-length columns
+    (m-length ones for the trace probes): ceil(probes / batch) solves per
+    stage."""
     panel, _, loo, est_panel, est = loo_estimated(seed=5)
     budget = 8 * est_panel.n_obs * 3
     m = est_panel.n_firms - 1
-    assert 8 * m * m <= budget
+    assert est.design.direct
     monkeypatch.setattr(correct_module, "PROBE_BLOCK_BYTES", budget)
-    solvers, columns = [], []
-    schur_solver = correct_module._schur_solver
+    columns = []
+    solve_schur = Design.solve_schur
 
-    def counted(design, cg_tol):
-        solve = schur_solver(design, cg_tol)
-        solvers.append(solve)
+    def counted(self, t, *args, **kwargs):
+        assert self is est.design
+        columns.append(1 if t.ndim == 1 else t.shape[1])
+        return solve_schur(self, t, *args, **kwargs)
 
-        def counted_solve(t):
-            columns.append(1 if t.ndim == 1 else t.shape[1])
-            return solve(t)
-
-        return counted_solve
-
-    monkeypatch.setattr(correct_module, "_schur_solver", counted)
+    monkeypatch.setattr(Design, "solve_schur", counted)
     probes = 20
     corrected_decomposition(est_panel, est, method, "stochastic", probes=probes, seed=0)
-    assert len(solvers) == 1
     assert sum(columns) == columns_per_probe * probes
     cells = np.unique(np.column_stack([est_panel.worker_idx, est_panel.firm_idx]), axis=0).shape[0]
     if method == "homoskedastic_trace":
@@ -715,28 +745,23 @@ def test_stochastic_decomposition_solves_shared_columns(method, columns_per_prob
 
 @pytest.mark.parametrize("cg", (False, True))
 def test_leave_out_batches_at_least_cg_min_width_under_cg(cg, monkeypatch):
-    """A budget below one cell-length column: on the dense factor (8 m^2
-    within the budget) each leave-out batch is one probe; under CG (a budget
-    just below 8 m^2) each is CG_MIN_WIDTH probes, the last one less. The
+    """A probe budget below one cell-length column: on the dense factor each
+    leave-out batch is one probe; under CG (the Design's budget lowered to
+    zero before the fit) each is CG_MIN_WIDTH probes, the last one less. The
     leverage batches solve one column per probe, the alpha and psi maps two."""
+    if cg:
+        monkeypatch.setattr(design_module, "PROBE_BLOCK_BYTES", 0)
     panel, _, loo, est_panel, est = loo_estimated(seed=5)
-    m = est_panel.n_firms - 1
-    budget = 8 * m * m - 8 if cg else 8 * m * m
-    assert budget < 8 * est.design.cells.size
-    monkeypatch.setattr(correct_module, "PROBE_BLOCK_BYTES", budget)
+    assert est.design.direct is not cg
+    monkeypatch.setattr(correct_module, "PROBE_BLOCK_BYTES", 8 * est.design.cells.size - 8)
     columns = []
-    schur_solver = correct_module._schur_solver
+    solve_schur = Design.solve_schur
 
-    def counted(design, cg_tol):
-        solve = schur_solver(design, cg_tol)
+    def counted(self, t, *args, **kwargs):
+        columns.append(t.shape[1])
+        return solve_schur(self, t, *args, **kwargs)
 
-        def counted_solve(t):
-            columns.append(t.shape[1])
-            return solve(t)
-
-        return counted_solve
-
-    monkeypatch.setattr(correct_module, "_schur_solver", counted)
+    monkeypatch.setattr(Design, "solve_schur", counted)
     corrected_decomposition(est_panel, est, "leave_out", "stochastic", probes=10, seed=0)
     widths = [4, 4, 2] if cg else [1] * 10
     assert correct_module.CG_MIN_WIDTH == 4
@@ -748,11 +773,10 @@ def test_leave_out_batches_at_least_cg_min_width_under_cg(cg, monkeypatch):
 def test_dense_factor_and_cg_agree(method, n_covariates, monkeypatch):
     """The probe solves against the dense Schur factor and by CG at the
     default tolerance give the same components and Monte Carlo errors within
-    1e-7 relative. A budget just below 8 m^2 forces CG; it also narrows the
-    batches, which does not change results."""
+    1e-7 relative. The dense factor is formed once, by the fit, and read by
+    every probe batch; a Design budget of zero forces CG on the second fit
+    and its correction."""
     cfg = {"covariate_count": 2, "beta_true": (0.3, -0.2)} if n_covariates else {}
-    panel, _, loo, est_panel, est = loo_estimated(seed=5, **cfg)
-    m = est_panel.n_firms - 1 + n_covariates
     cholesky = Design.schur_cholesky
     factored = []
 
@@ -761,11 +785,13 @@ def test_dense_factor_and_cg_agree(method, n_covariates, monkeypatch):
         return cholesky(self)
 
     monkeypatch.setattr(Design, "schur_cholesky", counted)
-    decs = []
-    for budget in (correct_module.PROBE_BLOCK_BYTES, 8 * m * m - 8):
-        monkeypatch.setattr(correct_module, "PROBE_BLOCK_BYTES", budget)
+    decs, fits = [], []
+    for budget in (design_module.PROBE_BLOCK_BYTES, 0):
+        monkeypatch.setattr(design_module, "PROBE_BLOCK_BYTES", budget)
+        panel, _, loo, est_panel, est = loo_estimated(seed=5, **cfg)
+        fits.append(est)
         decs.append(corrected_decomposition(est_panel, est, method, "stochastic", probes=20, seed=4))
-    assert len(factored) == 1  # the first call only
+    assert factored == [fits[0].design]  # the first fit only
     dense, cg = decs
     for key in ("var_alpha", "var_psi", "cov2", "var_resid"):
         assert cg.components[key] == pytest.approx(dense.components[key], rel=1e-7, abs=0.0), key
@@ -774,43 +800,75 @@ def test_dense_factor_and_cg_agree(method, n_covariates, monkeypatch):
 
 
 def test_schur_factor_only_within_probe_budget(monkeypatch):
-    """With 8 m^2 above PROBE_BLOCK_BYTES no stochastic entry point forms the
-    dense factor: every probe solve runs CG. At 8 m^2 equal to the budget
-    each call forms it once, and CG never runs."""
-    panel, _, loo, est_panel, est = loo_estimated(seed=5)
+    """With 8 m^2 above the Design's PROBE_BLOCK_BYTES neither the fit nor any
+    stochastic entry point forms the dense factor: every solve runs CG. At
+    8 m^2 equal to the budget each Design forms it once, on its first solve
+    (the fit for the fit's Design; compute_leverages builds a Design of its
+    own), and CG never runs."""
+    panel, _, loo, est_panel, _ = loo_estimated(seed=5)
     m = est_panel.n_firms - 1
     factored, cg_solves = [], []
-    cholesky, solve_schur = Design.schur_cholesky, Design.solve_schur
+    cholesky, pcg = Design.schur_cholesky, Design._pcg
 
     def counted_cholesky(self):
         factored.append(self)
         return cholesky(self)
 
-    def counted_solve(self, t, *args, **kwargs):
+    def counted_pcg(self, t, *args, **kwargs):
         cg_solves.append(t.shape)
-        return solve_schur(self, t, *args, **kwargs)
+        return pcg(self, t, *args, **kwargs)
 
     monkeypatch.setattr(Design, "schur_cholesky", counted_cholesky)
-    monkeypatch.setattr(Design, "solve_schur", counted_solve)
-    form = QuadraticForm("var_psi", est.design)
-    calls = [
-        lambda: corrected_decomposition(est_panel, est, "leave_out", "stochastic", probes=4),
-        lambda: corrected_decomposition(est_panel, est, "homoskedastic_trace", "stochastic",
-                                        probes=4),
-        lambda: correct_leave_out(est_panel, est, "var_psi", "stochastic", probes=4),
-        lambda: correct_homoskedastic(est_panel, est, "var_psi", "stochastic", probes=4),
-        lambda: compute_leverages(est_panel, None, "stochastic", probes=4),
-        lambda: hutchinson_trace_quadratic(form, 4, seed=0),
-    ]
-    monkeypatch.setattr(correct_module, "PROBE_BLOCK_BYTES", 8 * m * m - 1)
-    for call in calls:
-        call()
-    assert factored == [] and len(cg_solves) > 0
-    cg_solves.clear()
-    monkeypatch.setattr(correct_module, "PROBE_BLOCK_BYTES", 8 * m * m)
-    for call in calls:
-        call()
-    assert len(factored) == len(calls) and cg_solves == []
+    monkeypatch.setattr(Design, "_pcg", counted_pcg)
+    for budget, direct in ((8 * m * m - 1, False), (8 * m * m, True)):
+        monkeypatch.setattr(design_module, "PROBE_BLOCK_BYTES", budget)
+        factored.clear()
+        cg_solves.clear()
+        est = estimate(est_panel, None, SolverConfig(method="conjugate_gradient"))
+        assert est.design.direct is direct
+        form = QuadraticForm("var_psi", est.design)
+        corrected_decomposition(est_panel, est, "leave_out", "stochastic", probes=4)
+        corrected_decomposition(est_panel, est, "homoskedastic_trace", "stochastic", probes=4)
+        correct_leave_out(est_panel, est, "var_psi", "stochastic", probes=4)
+        correct_homoskedastic(est_panel, est, "var_psi", "stochastic", probes=4)
+        hutchinson_trace_quadratic(form, 4, seed=0)
+        compute_leverages(est_panel, None, "stochastic", probes=4)
+        if direct:
+            assert len(factored) == 2 and factored[0] is est.design and cg_solves == []
+        else:
+            assert factored == [] and len(cg_solves) > 0
+
+
+def test_one_cholesky_factor_per_design(monkeypatch):
+    """At m <= 256 the fit forms the one Cholesky factor of its Design, and
+    the stochastic homoskedastic and leave-out corrections and the trace
+    probes of that fit read it; an exact leave-out after them turns it into
+    V in place, forming none of its own, and the Design keeps no factor.
+    Above the budget (m = 299) the fit forms none."""
+    factored = []
+    cho_factor = scipy.linalg.cho_factor
+
+    def counted(a, *args, **kwargs):
+        factored.append(a.shape[0])
+        return cho_factor(a, *args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "cho_factor", counted)
+    _, _, _, est_panel, est = loo_estimated(seed=5)
+    m = est.design.m
+    assert est.iterations == 0 and est.final_change == 0.0 and factored == [m]
+    corrected_decomposition(est_panel, est, "homoskedastic_trace", "stochastic", probes=10)
+    corrected_decomposition(est_panel, est, "leave_out", "stochastic", probes=10)
+    hutchinson_trace_quadratic(QuadraticForm("var_psi", est.design), 10, seed=0)
+    assert factored == [m] and est.design.schur_factor is not None
+    corrected_decomposition(est_panel, est, "leave_out", "exact")
+    assert factored == [m] and est.design.schur_factor is None
+
+    factored.clear()
+    wide = random_connected_panel(np.random.default_rng(7), n_workers=600, n_firms=300,
+                                  n_periods=2)
+    est = estimate(wide, None, SolverConfig(method="conjugate_gradient"))
+    assert est.design.m == 299 and not est.design.direct
+    assert est.iterations > 0 and factored == []
 
 
 @pytest.mark.parametrize("probes", (0, 1, -3))

@@ -3,6 +3,7 @@ import pytest
 import scipy.linalg
 
 from twowayfe import NumericalError, Panel
+from twowayfe import design as design_module
 from twowayfe.design import Design
 
 from conftest import random_connected_panel, repeated_cell_panel
@@ -47,6 +48,12 @@ class TestProducts:
 
 
 class TestBatchedCG:
+    @pytest.fixture(autouse=True)
+    def cg_only(self, monkeypatch):
+        """These panels' Schur factors fit the budget: lowered to zero, every
+        Design solves by CG."""
+        monkeypatch.setattr(design_module, "PROBE_BLOCK_BYTES", 0)
+
     @pytest.mark.parametrize("n_covariates", (0, 2))
     def test_block_matches_dense_solve(self, n_covariates):
         rng = np.random.default_rng(20 + n_covariates)
@@ -121,3 +128,79 @@ class TestSchur:
         expected = S[W:, W:] - S[W:, :W] @ np.linalg.solve(S[:W, :W], S[:W, W:])
         np.testing.assert_allclose(design.schur.toarray(), expected, atol=1e-10)
         np.testing.assert_array_equal(design.schur_diag(), design.schur.diagonal())
+
+
+class TestDirectSolve:
+    @pytest.mark.parametrize("n_covariates", (0, 2))
+    def test_direct_solve_matches_dense_solve_on_one_kept_factor(self, n_covariates, monkeypatch):
+        """Within the budget every solve reads one Cholesky factor, formed by
+        the first solve and kept: no CG iterations, the dense solution."""
+        rng = np.random.default_rng(40 + n_covariates)
+        panel = random_connected_panel(rng, n_workers=40, n_firms=7, n_covariates=n_covariates)
+        design = Design(panel)
+        factored = []
+        cho_factor = scipy.linalg.cho_factor
+
+        def counted(*args, **kwargs):
+            factored.append(args[0].shape)
+            return cho_factor(*args, **kwargs)
+
+        monkeypatch.setattr(scipy.linalg, "cho_factor", counted)
+        S = dense_normal_matrix(panel)
+        B = rng.normal(size=(design.p, 5))
+        assert design.direct and design.schur_factor is None
+        X, iters = design.solve_cg(B, rtol=1.0, maxiter=1)  # CG settings do not apply
+        x, iters_one = design.solve_cg(B[:, 2])
+        assert iters == iters_one == 0 and x.shape == (design.p,)
+        expected = np.linalg.solve(S, B)
+        assert np.abs(X - expected).max() <= 1e-10 * np.abs(expected).max()
+        np.testing.assert_allclose(x, X[:, 2], rtol=0, atol=1e-12 * np.abs(x).max())
+        assert factored == [(design.m, design.m)]
+
+    def test_schur_inverse_consumes_the_kept_factor(self, monkeypatch):
+        """V is formed in place from the factor a direct solve kept, and the
+        Design keeps no factor afterwards; the next solve forms it again."""
+        rng = np.random.default_rng(43)
+        panel = random_connected_panel(rng, n_workers=30, n_firms=6, n_covariates=1)
+        design = Design(panel)
+        design.solve_schur(np.ones(design.m))
+        kept = design.schur_factor
+        factored = []
+        monkeypatch.setattr(Design, "schur_cholesky", lambda self: factored.append(self))
+        V = design.schur_inverse()
+        assert factored == [] and design.schur_factor is None
+        assert np.shares_memory(V, kept)
+        np.testing.assert_allclose(V, np.linalg.inv(design.schur.toarray()), rtol=0, atol=1e-10)
+        monkeypatch.undo()
+        design.solve_schur(np.ones(design.m))
+        assert design.schur_factor is not None
+
+    def test_budget_sets_the_choice_once(self, monkeypatch):
+        """8 m^2 above the budget: CG, no factor; the choice is made on first
+        use and kept when the budget changes later."""
+        rng = np.random.default_rng(44)
+        panel = random_connected_panel(rng, n_workers=30, n_firms=6)
+        m = panel.n_firms - 1
+        for budget, direct in ((8 * m * m - 1, False), (8 * m * m, True)):
+            monkeypatch.setattr(design_module, "PROBE_BLOCK_BYTES", budget)
+            design = Design(panel)
+            _, iters = design.solve_schur(np.ones(m), rtol=1e-12)
+            assert design.direct is direct and (iters == 0) is direct
+            assert (design.schur_factor is not None) is direct
+            monkeypatch.setattr(design_module, "PROBE_BLOCK_BYTES", 0)
+            assert design.direct is direct
+
+    def test_indefinite_schur_complement_names_m(self, monkeypatch):
+        """A failed Cholesky factorization is a NumericalError naming m."""
+        rng = np.random.default_rng(45)
+        panel = random_connected_panel(rng, n_workers=30, n_firms=6)
+        design = Design(panel)
+
+        def fail(*args, **kwargs):
+            raise scipy.linalg.LinAlgError("2-th leading minor not positive definite")
+
+        monkeypatch.setattr(scipy.linalg, "cho_factor", fail)
+        with pytest.raises(NumericalError, match=r"the 5 x 5 Schur complement is not positive"):
+            design.solve_schur(np.ones(design.m))
+        with pytest.raises(NumericalError, match=r"the 5 x 5 Schur complement"):
+            design.schur_inverse()

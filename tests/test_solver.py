@@ -17,6 +17,8 @@ from twowayfe import (
     simulate_panel,
 )
 
+from twowayfe import design as design_module
+
 from conftest import dense_lstsq_solution, random_connected_panel
 
 ALL_METHODS = ("zigzag", "conjugate_gradient", "dense_oracle", "first_differences")
@@ -64,6 +66,30 @@ class TestMethodEquivalence:
         alpha0, psi0, beta0 = dense_lstsq_solution(panel)
         assert np.abs(est.alpha - alpha0).max() < 1e-10
         assert np.abs(est.psi - psi0).max() < 1e-10
+
+
+class TestDirectFit:
+    @pytest.mark.parametrize("n_covariates", (0, 2))
+    def test_direct_and_cg_fits_match_dense_oracle(self, n_covariates, monkeypatch):
+        """At m <= 256 the conjugate_gradient method solves the Schur system on
+        its Cholesky factor (0 iterations, final change 0.0); forced onto CG by
+        a zero budget it iterates. The two fits agree within 1e-10 and both
+        match dense_oracle."""
+        rng = np.random.default_rng(60 + n_covariates)
+        panel = random_connected_panel(rng, n_workers=60, n_firms=9, n_covariates=n_covariates)
+        oracle = estimate(panel, None, SolverConfig(method="dense_oracle"))
+        direct = estimate(panel)
+        monkeypatch.setattr(design_module, "PROBE_BLOCK_BYTES", 0)
+        cg = estimate(panel)
+        assert direct.design.direct and not cg.design.direct
+        assert (direct.iterations, direct.final_change) == (0, 0.0) and cg.iterations > 0
+        for name in ("alpha", "psi", "beta", "residuals"):
+            expected = getattr(oracle, name)
+            scale = max(np.abs(expected).max(initial=0.0), 1.0)
+            for fit in (direct, cg):
+                assert np.abs(getattr(fit, name) - expected).max(initial=0.0) <= 1e-10 * scale, name
+            gap = np.abs(getattr(direct, name) - getattr(cg, name)).max(initial=0.0)
+            assert gap <= 1e-10 * scale, name
 
 
 class TestNormalEquations:
