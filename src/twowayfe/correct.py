@@ -44,10 +44,15 @@ its per-cell sums s_c: the T_c signs of a cell are the bits of
 ceil(T_c / 64) raw 64-bit words of the stream, so s_c = 2 popcount - T_c,
 O(cells) to draw. D'z, P z, the alpha and psi weight maps and the JLA M^
 (averaged over each cell's rows) read only s, and every solve runs in the
-Schur space through T (`_schur_rows`), the cells' reduced rows:
-O(cells + nnz(T)) per probe outside the solve, with no pass over
-observations (sigma2_o is reduced to per-cell sums once per call). Per-cell
-values are weighted by the cell's sum of sigma2_o.
+Schur space through T (`_schur_rows`), the cells' reduced rows. Only the
+mover cells have rows of their own in a batch's arrays: a stayer cell, the
+only cell of its worker and a zero row of T (`_split_cells`), reads every
+value from its worker's sum, and the maps' centring is applied to the worker
+and firm sums. So beyond the draw a probe costs O(mover cells + nnz(T) + W
++ F) outside the solve, with no pass over observations (sigma2_o is reduced
+to per-cell sums once per call), and each batch's arrays are freed before
+the next is drawn: memory is one batch's arrays. Per-cell values are
+weighted by the cell's sum of sigma2_o.
 Every probe solve runs on the Design's own Schur solver (`Design.solve_schur`),
 chosen once per Design and shared with the fit: one cho_solve on the dense
 Cholesky factor the Design keeps from its first solve, O(m^2 b) per batch,
@@ -335,34 +340,96 @@ _ALL_BITS = np.uint64(0xFFFF_FFFF_FFFF_FFFF)
 def _probe_sums(cells: Cells, probes: int, rng, width: int):
     """Per solve batch of b = `width` Rademacher probes z over observations
     (fewer in the last batch), the probes' per-cell sums s_c as the columns
-    of a (cells, b) array.
+    of a fresh (cells, b) array.
 
     Only the sums are drawn: a cell of T_c rows reads its T_c signs as the
     bits of ceil(T_c / 64) raw 64-bit words of the stream, the last one masked
     to its remaining low bits, and s_c = 2 popcount - T_c. Probe r reads the
     r-th run of words, as a one-at-a-time draw would, so results do not
-    depend on b."""
+    depend on b. Each batch is drawn in a call (`_draw_sums`), so the
+    generator holds no batch it has yielded: a caller that drops its
+    references frees the batch before the next draw."""
     rows = cells.counts.astype(np.int64)
     words = (rows + 63) // 64
     ends = np.cumsum(words)
     mask = np.full(ends[-1], _ALL_BITS)
     mask[ends - 1] = _ALL_BITS >> (64 - rows + 64 * (words - 1)).astype(np.uint64)
-    long_cells = ends[-1] > cells.size  # some cell has more than 64 rows
+    starts = ends - words if ends[-1] > cells.size else None  # some cell has more than 64 rows
     for batch in _spans(probes, width):
-        k = batch.stop - batch.start
-        bits = rng.bit_generator.random_raw(k * ends[-1]).reshape(k, -1)
-        ones = np.bitwise_count(np.bitwise_and(bits, mask, out=bits))
-        del bits
-        if long_cells:
-            ones = np.add.reduceat(ones, ends - words, axis=1, dtype=np.int64)
-        sums = np.multiply(ones.T, 2.0, order="C")
-        del ones
-        sums -= cells.counts[:, None]
-        yield sums
+        yield _draw_sums(cells, rng, batch.stop - batch.start, mask, starts)
 
 
-def _stochastic_leverages(design: Design, T: sp.csr_matrix, probes: int, rng,
-                          cg_tol: float) -> np.ndarray:
+def _draw_sums(cells: Cells, rng, k: int, mask: np.ndarray, starts) -> np.ndarray:
+    """The per-cell sums of the next k probes (`_probe_sums`), as (cells, k):
+    each probe's raw words masked to the cells' rows, their set bits counted,
+    and the counts of each cell's words added up where `starts` (the cells'
+    first words) is given."""
+    bits = rng.bit_generator.random_raw(k * mask.size).reshape(k, -1)
+    ones = np.bitwise_count(np.bitwise_and(bits, mask, out=bits))
+    del bits
+    if starts is not None:
+        ones = np.add.reduceat(ones, starts, axis=1, dtype=np.int64)
+    sums = np.multiply(ones.T, 2.0, order="C")
+    del ones
+    sums -= cells.counts[:, None]
+    return sums
+
+
+def _split_cells(design: Design) -> tuple[sp.csr_matrix, np.ndarray, np.ndarray]:
+    """(T, movers, stayers): T (`_schur_rows`) and the indices of the mover
+    and of the stayer cells. A stayer cell is the only cell of its worker and
+    its row in T is zero (with covariates, its covariate row is its worker's
+    mean), so each probe's value at it is a worker term: (P z)_c =
+    (W's)_w / d_w, which is also the probe's mean over the cell's rows, its
+    alpha map is the centred worker term and its psi map 0. Every other cell
+    is a mover cell, with its own row in a batch's arrays."""
+    cells = design.cells
+    T = _schur_rows(design)
+    alone = np.bincount(cells.worker_idx, minlength=design.W)[cells.worker_idx] == 1
+    stayer = alone & (np.diff(T.indptr) == 0)
+    return T, np.flatnonzero(~stayer), np.flatnonzero(stayer)
+
+
+def _leverage_sums(design: Design, T: sp.csr_matrix, movers: np.ndarray, stayers: np.ndarray,
+                   probes: int, rng, cg_tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """Per cell, the sums over the probes of P^ and of M^ (`_stochastic_leverages`).
+
+    Everything reads the probes' per-cell sums s: D'z has the worker block
+    W's and the firm/covariate block G's, so its reduced right-hand side is
+    T's, and (P z)_c = (W's)_w / d_w + t_c'y (`_schur_rows`). P_oo and M_oo
+    are the same for the rows of a cell, so M^ is averaged over them: with
+    pi = (P z)_c, sum_{o in c} (z_o - pi)^2 / T_c = (pi - s_c/T_c)^2 +
+    1 - (s_c/T_c)^2, both terms >= 0. At a stayer cell pi = s_c/T_c
+    (`_split_cells`), so its P^ is sum_r (s_c/T_c)^2 and the first term of its
+    M^ is 0: only the mover cells and their workers have rows in a batch's
+    arrays besides s."""
+    cells = design.cells
+    workers, worker_of = np.unique(cells.worker_idx[movers], return_inverse=True)
+    d = design.d_worker[workers, None]
+    # formed once, not per batch
+    T_t, worker_t, T_movers = T.T, cells.worker_mat.T.tocsr()[workers], T[movers]
+    p_hat = np.zeros(cells.size)
+    m_hat = np.zeros(cells.size)
+    for sums in _probe_sums(cells, probes, rng, _width(design, cells.size)):
+        y = design.solve_schur(T_t @ sums, cg_tol)[0]
+        pz = worker_t @ sums
+        pz /= d
+        pz = pz[worker_of]
+        pz += T_movers @ y
+        p_hat[movers] += np.einsum("ij,ij->i", pz, pz)
+        sums /= cells.counts[:, None]  # each probe's mean over the cell's rows
+        pz -= sums[movers]
+        m_hat[movers] += np.einsum("ij,ij->i", pz, pz)
+        del pz
+        squares = np.einsum("ij,ij->i", sums, sums)
+        p_hat[stayers] += squares[stayers]
+        m_hat += sums.shape[1] - squares
+        del sums  # one batch alive at a time: freed before the next draw
+    return p_hat, m_hat
+
+
+def _stochastic_leverages(design: Design, T: sp.csr_matrix, movers: np.ndarray,
+                          stayers: np.ndarray, probes: int, rng, cg_tol: float) -> np.ndarray:
     """JLA leverage estimates P^/(P^ + M^) per cell, which lie in (0, 1].
 
     With S w_r = D' z_r, z_r Rademacher over observations, D w_r = P z_r and
@@ -371,53 +438,49 @@ def _stochastic_leverages(design: Design, T: sp.csr_matrix, probes: int, rng,
     bias from the same solves (Kline, Saggio & Solvsten 2020). The ratio is
     not unbiased, but unlike P^ alone it cannot reach one unless M^_oo = 0.
 
-    Everything reads the probes' per-cell sums s: D'z has the worker block
-    W's and the firm/covariate block G's, so its reduced right-hand side is
-    T's, and (P z)_c = (W's)_w / d_w + t_c'y (`_schur_rows`). P_oo and M_oo
-    are the same for the rows of a cell, so M^ is averaged over them: with
-    pi = (P z)_c, sum_{o in c} (z_o - pi)^2 / T_c = (pi - s_c/T_c)^2 +
-    1 - (s_c/T_c)^2, both terms >= 0.
-    """
-    cells = design.cells
-    d = design.d_worker[:, None]
-    T_t, worker_t = T.T, cells.worker_mat.T  # formed once, not per batch
-    p_hat = np.zeros(cells.size)
-    m_hat = np.zeros(cells.size)
-    for sums in _probe_sums(cells, probes, rng, _width(design, cells.size)):
-        pz = T @ design.solve_schur(T_t @ sums, cg_tol)[0]
-        pz += ((worker_t @ sums) / d)[cells.worker_idx]
-        p_hat += np.einsum("ij,ij->i", pz, pz)
-        sums /= cells.counts[:, None]  # each probe's mean over the cell's rows
-        pz -= sums
-        m_hat += np.einsum("ij,ij->i", pz, pz)
-        m_hat += sums.shape[1] - np.einsum("ij,ij->i", sums, sums)
+    Per probe, O(cells) to draw and O(mover cells + nnz(T) + W) besides the
+    solve (`_leverage_sums`); memory is one batch's arrays."""
+    p_hat, m_hat = _leverage_sums(design, T, movers, stayers, probes, rng, cg_tol)
     m_hat += p_hat
     return np.divide(p_hat, m_hat, out=m_hat)
 
 
-def _cell_maps(forms: list[QuadraticForm], T: sp.csr_matrix, probes: int, rng, cg_tol: float):
-    """Per batch of Rademacher probes z over observations, {b: D S^{-1} H_b' z}
-    per cell (cells x batch) for each distinct observation map b of the forms
-    (H_b its centered selector), the maps' reduced right-hand sides solved
-    together in one Schur-space solve.
+def _cell_maps(forms: list[QuadraticForm], T: sp.csr_matrix, movers: np.ndarray,
+               stayers: np.ndarray, probes: int, rng, cg_tol: float):
+    """Per batch of Rademacher probes z over observations, (maps, stay):
+    maps[b] = D S^{-1} H_b' z at the mover cells (movers x batch) for each
+    distinct observation map b of the forms (H_b its centred selector), the
+    maps' reduced right-hand sides solved together in one Schur-space solve,
+    and stay = the alpha and alpha_plus_psi map at the stayer cells
+    (stayers x batch); their psi map is 0 (`_split_cells`).
 
-    H_b' z is block b's incidence applied to centered z: W's~ on the workers
-    for an alpha map, F's~ on the non-reference firms for a psi map, s~ the
-    probes' centered per-cell sums. Its reduced right-hand side is
-    (F's~, 0) - C'(W's~ / d), and its value per cell (W's~)_w / d_w + t_c'y
-    (`_schur_rows`)."""
+    H_b' z is block b's incidence applied to centred z: W's~ = W's - d zbar on
+    the workers for an alpha map, F's~ = F's - n_F zbar on the non-reference
+    firms for a psi map, s the probes' per-cell sums and zbar their means over
+    observations. Its reduced right-hand side is (F's~, 0) - C'(W's~ / d), and
+    its value at a cell (W's~)_w / d_w + t_c'y (`_schur_rows`), at a stayer
+    cell the first term alone. The caller drops its references to a batch
+    before asking for the next, so one batch is alive at a time."""
     design = forms[0].design
     cells = design.cells
     F1 = design.F - 1
     blocks = list(dict.fromkeys(b for f in forms for b in f.blocks))
     worker_t, contact_t, g_t = cells.worker_mat.T, design.contact.T, cells.g_mat.T
+    T_movers = T[movers]
+    at_movers, at_stayers = cells.worker_idx[movers], cells.worker_idx[stayers]
+    d, n_firm = design.d_worker[:, None], design.g_firm[:F1]
     for sums in _probe_sums(cells, probes, rng, _width(design, cells.size)):
-        # per cell, the probe's sum minus the cell's person-years times its mean
-        sums -= np.outer(cells.counts, sums.sum(axis=0) / design.n)
-        k = sums.shape[1]
-        worker = (worker_t @ sums) / design.d_worker[:, None]
-        alpha_rhs = contact_t @ worker
+        mean = sums.sum(axis=0) / design.n
+        worker = worker_t @ sums
         psi_rhs = (g_t @ sums)[:F1]
+        del sums  # read through these aggregates alone
+        worker /= d
+        worker -= mean
+        psi_rhs -= np.outer(n_firm, mean)
+        k = mean.size
+        alpha_rhs = contact_t @ worker
+        alpha, stay = worker[at_movers], worker[at_stayers]
+        del worker
         rhs = np.zeros((T.shape[1], len(blocks) * k))
         for i, b in enumerate(blocks):
             if b in ("alpha", "alpha_plus_psi"):
@@ -426,15 +489,15 @@ def _cell_maps(forms: list[QuadraticForm], T: sp.csr_matrix, probes: int, rng, c
                 rhs[:F1, i * k : (i + 1) * k] += psi_rhs
         y = design.solve_schur(rhs, cg_tol)[0]
         del rhs
-        values = T @ y
+        values = T_movers @ y
         del y
         maps = {b: values[:, i * k : (i + 1) * k] for i, b in enumerate(blocks)}
-        worker = worker[cells.worker_idx]
         for b in blocks:
             if b in ("alpha", "alpha_plus_psi"):
-                maps[b] += worker
-        yield maps
-        maps.clear()  # the caller is done with them: free them before the next draw
+                maps[b] += alpha
+        del alpha
+        yield maps, stay
+        del maps, values, stay
 
 
 def compute_leverages(
@@ -464,14 +527,17 @@ def compute_leverages(
         bw, probes = weights[component], 0
     else:
         rng = np.random.default_rng(seed)
-        T = _schur_rows(design)
-        lev = _stochastic_leverages(design, T, probes, rng, cg_tol)
+        T, movers, stayers = _split_cells(design)
+        lev = _stochastic_leverages(design, T, movers, stayers, probes, rng, cg_tol)
         # per probe, the weight product averages to n * B_oo (Rademacher
         # coordinates are independent)
         left, right = form.blocks
         bw = np.zeros(design.cells.size)
-        for maps in _cell_maps([form], T, probes, rng, cg_tol):
-            bw += np.einsum("ij,ij->i", maps[left], maps[right])
+        for maps, stay in _cell_maps([form], T, movers, stayers, probes, rng, cg_tol):
+            bw[movers] += np.einsum("ij,ij->i", maps[left], maps[right])
+            if "psi" not in form.blocks:  # a stayer cell's psi map is 0
+                bw[stayers] += np.einsum("ij,ij->i", stay, stay)
+            del maps, stay
         bw /= probes * design.n
     inverse = design.cells.inverse  # a cell's rows share its values
     return LeverageTable(
@@ -505,15 +571,19 @@ def _leave_out_probes(estimates: Estimates, forms: list[QuadraticForm], probes: 
     variances from one JLA leverage estimate: 1 + b solved columns per probe
     for the forms' b distinct observation maps."""
     design = forms[0].design
-    T = _schur_rows(design)
-    lev = _stochastic_leverages(design, T, probes, rng, cg_tol)
+    T, movers, stayers = _split_cells(design)
+    lev = _stochastic_leverages(design, T, movers, stayers, probes, rng, cg_tol)
     sigma2_cell = _leave_out_sums(design, estimates, lev, probes)
+    sigma2_movers, sigma2_stayers = sigma2_cell[movers], sigma2_cell[stayers]
     vals = {f.component: [] for f in forms}
-    for maps in _cell_maps(forms, T, probes, rng, cg_tol):
+    for maps, stay in _cell_maps(forms, T, movers, stayers, probes, rng, cg_tol):
         for f in forms:
             left, right = f.blocks
-            v = np.einsum("ij,ij,i->j", maps[left], maps[right], sigma2_cell)
+            v = np.einsum("ij,ij,i->j", maps[left], maps[right], sigma2_movers)
+            if "psi" not in f.blocks:  # a stayer cell's psi map is 0
+                v += np.einsum("ij,ij,i->j", stay, stay, sigma2_stayers)
             vals[f.component].append(v / design.n)
+        del maps, stay
     return {c: np.concatenate(v) for c, v in vals.items()}
 
 

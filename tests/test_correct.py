@@ -943,3 +943,158 @@ def test_cell_longer_than_one_word_draws_its_sums(monkeypatch):
     assert np.abs(tables[0].leverage - tables[1].leverage).max() <= 1e-10
     np.testing.assert_allclose(tables[0].component_weight, tables[1].component_weight,
                                rtol=0, atol=1e-10 * np.abs(tables[0].component_weight).max())
+
+
+def worker_constant_covariate_panel():
+    """K = 1, an integer covariate constant within each worker, plus the
+    period for movers so that it is identified: every stayer's cell is a
+    zero row of T. One stayer's three rows read c - 1, c, c + 1 instead, so
+    its middle cell is a zero row of T that shares its worker."""
+    from twowayfe import Panel
+
+    rng = np.random.default_rng(17)
+    base = random_connected_panel(rng, n_workers=30, n_firms=6)
+    per_worker = rng.integers(0, 4, base.n_workers)
+    matches = np.unique(np.column_stack([base.worker_idx, base.firm_idx]), axis=0)
+    movers = (np.bincount(matches[:, 0], minlength=base.n_workers) > 1)[base.worker_idx]
+    x = per_worker[base.worker_idx] + np.where(movers, base.period, 0)
+    varied = base.worker_idx == base.worker_idx[~movers][0]  # three rows, in period order
+    x[varied] += np.array([-1, 0, 1])
+    return Panel(
+        worker=[base.worker_ids[i] for i in base.worker_idx],
+        firm=[base.firm_ids[j] for j in base.firm_idx],
+        period=base.period,
+        log_wage=base.log_wage + 0.3 * x,
+        covariates=x[:, None].astype(np.float64),
+    )
+
+
+def oracle_panel(kind):
+    if kind == "worker_constant":
+        return worker_constant_covariate_panel()
+    rng = np.random.default_rng(23)
+    return random_connected_panel(rng, n_workers=30, n_firms=6, n_covariates=int(kind[1]))
+
+
+def probes_with_sums(panel, sums):
+    """A probe over observations for each column of per-cell sums: in each
+    cell (in `Design.cells` order) its first (T_c + s_c) / 2 rows +1, the
+    rest -1."""
+    cells = Design(panel).cells
+    z = -np.ones((panel.n_obs, sums.shape[1]))
+    seen = np.zeros(cells.size, dtype=int)
+    for o in range(panel.n_obs):
+        c = cells.inverse[o]
+        z[o] = np.where(seen[c] < (cells.counts[c] + sums[c]) / 2, 1.0, -1.0)
+        seen[c] += 1
+    return z
+
+
+@pytest.mark.parametrize("kind", ["K0", "K2", "worker_constant"])
+def test_leave_out_probes_match_dense_oracle_per_probe(kind, monkeypatch):
+    """Fixed per-cell sums from `_probe_sums` drive the engine; a dense oracle
+    over observations (an explicit S^{-1} and one probe z per column with
+    those sums) gives each probe's P^ and M^ per cell (M^ averaged over the
+    cell's rows), each form's per-probe value z'Hl S^{-1} D' diag(sigma2_o)
+    D S^{-1} Hr' z / n, and compute_leverages' per-observation leverages and
+    weights, all within 1e-10 relative. Stayer cells, and the zero rows of T
+    that share their worker (`worker_constant`), take their values from the
+    worker arrays."""
+    panel = oracle_panel(kind)
+    est = estimate(panel, None, SolverConfig(method="conjugate_gradient"))
+    design = est.design
+    cells = design.cells
+    T, movers, stayers = correct_module._split_cells(design)
+    zero_rows = np.flatnonzero(np.diff(T.indptr) == 0)
+    if kind == "K2":
+        assert stayers.size == 0
+    else:
+        assert stayers.size > 0
+    if kind == "worker_constant":
+        assert zero_rows.size > stayers.size  # a zero row in a worker's other cells
+    probes, width = 7, 3
+    draws = np.random.default_rng(8)
+    stages = [np.hstack(list(correct_module._probe_sums(cells, probes, draws, width)))
+              for _ in range(2)]  # the leverage probes, then the map probes
+    calls = []
+
+    def fixed_sums(cells_, probes_, rng_, width_):
+        sums = stages[len(calls) % 2]
+        calls.append(probes_)
+        for batch in correct_module._spans(probes_, width):
+            yield sums[:, batch].copy()
+
+    monkeypatch.setattr(correct_module, "_probe_sums", fixed_sums)
+
+    n, W = panel.n_obs, panel.n_workers
+    D, Sinv, _ = dense_pieces(panel)
+    P = D @ Sinv @ D.T
+    rows_of = cells.inverse
+    per_cell = np.zeros((cells.size, n))
+    per_cell[rows_of, np.arange(n)] = 1.0 / cells.counts[rows_of]  # a cell's row mean
+    z = probes_with_sums(panel, stages[0])
+    p_oracle = (per_cell @ (P @ z) ** 2)
+    m_oracle = per_cell @ (z - P @ z) ** 2
+    for r in range(probes):  # each probe's P^ and M^
+        one = stages[0][:, r : r + 1]
+        monkeypatch.setattr(correct_module, "_probe_sums",
+                            lambda *args, one=one: iter([one.copy()]))
+        p_hat, m_hat = correct_module._leverage_sums(
+            design, T, movers, stayers, 1, None, 1e-12)
+        np.testing.assert_allclose(p_hat, p_oracle[:, r], rtol=0, atol=1e-10 * p_oracle.max())
+        np.testing.assert_allclose(m_hat, m_oracle[:, r], rtol=0, atol=1e-10 * m_oracle.max())
+    monkeypatch.setattr(correct_module, "_probe_sums", fixed_sums)
+
+    lev = p_oracle.sum(axis=1) / (p_oracle + m_oracle).sum(axis=1)
+    sigma2 = (panel.log_wage * est.residuals) / (1.0 - lev[rows_of])
+    C = np.eye(n) - 1.0 / n
+    F1, K = panel.n_firms - 1, panel.covariate_count
+    selectors = {
+        "alpha": np.column_stack([D[:, :W], np.zeros((n, F1 + K))]),
+        "psi": np.column_stack([np.zeros((n, W)), D[:, W : W + F1], np.zeros((n, K))]),
+    }
+    selectors["alpha_plus_psi"] = selectors["alpha"] + selectors["psi"]
+    zm = probes_with_sums(panel, stages[1])
+    maps = {b: D @ Sinv @ (C @ H).T @ zm for b, H in selectors.items()}
+    forms = [QuadraticForm(c, design) for c in COMPONENTS]
+    vals = correct_module._leave_out_probes(est, forms, probes, None, 1e-12)
+    for component in COMPONENTS:
+        left, right = correct_module.COMPONENTS[component]
+        expected = np.einsum("or,or,o->r", maps[left], maps[right], sigma2) / n
+        np.testing.assert_allclose(vals[component], expected, rtol=0,
+                                   atol=1e-10 * np.abs(expected).max(), err_msg=component)
+
+        table = compute_leverages(panel, backend="stochastic", probes=probes,
+                                  component=component, cg_tol=1e-12)
+        np.testing.assert_allclose(table.leverage, lev[rows_of], rtol=1e-10, atol=0)
+        weights = (maps[left] * maps[right]).mean(axis=1) / n
+        np.testing.assert_allclose(table.component_weight, weights, rtol=0,
+                                   atol=1e-10 * np.abs(weights).max(), err_msg=component)
+
+
+def test_stochastic_leave_out_holds_one_batch_at_a_time():
+    """On the panel of the CLI's stochastic pipeline benchmark (2,000 workers,
+    200 firms, T = 5; its leave-one-out set has 2,582 cells, 1,196 of them
+    mover cells), one stochastic leave-out decomposition allocates at its
+    peak, by tracemalloc, no more than 4 batch arrays of 8 * cells * width
+    bytes: only the mover cells have rows of their own in a batch, and each
+    batch is freed before the next is drawn."""
+    import tracemalloc
+
+    cfg = SimConfig(n_workers=2000, n_firms=200, n_periods=5, movers_share=0.3,
+                    var_alpha_true=0.2, var_psi_true=0.05, corr_sorting=0.15,
+                    noise_sigma2=0.1, seed=1)
+    panel, _ = simulate_panel(cfg)
+    loo = leave_one_out_connected_set(build_graph(panel), panel)
+    est = estimate(panel, loo, SolverConfig(method="conjugate_gradient"))
+    design = est.design
+    batch = 8 * design.cells.size * correct_module._width(design, design.cells.size)
+    corrected_decomposition(est.panel, est, "leave_out", "stochastic")  # caches formed
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        corrected_decomposition(est.panel, est, "leave_out", "stochastic")
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * batch, peak / batch
