@@ -207,12 +207,28 @@ def _load_config(args) -> dict:
     return config
 
 
+def _number(config: dict, key: str, default, kind=int):
+    """config[key], or `default` where it is absent, as a `kind` (int or
+    float). A value that is not such a number (a boolean, a string that does
+    not parse, a fractional value for an integer setting) is a ConfigError
+    naming the key."""
+    value = config.get(key, default)
+    try:
+        number = kind(value)
+    except (TypeError, ValueError, OverflowError):
+        number = None
+    if number is None or isinstance(value, bool) or (isinstance(value, float) and number != value):
+        noun = "an integer" if kind is int else "a number"
+        raise ConfigError(f"config value {key!r} must be {noun}, not {value!r}")
+    return number
+
+
 def _solver_config(config: dict) -> SolverConfig:
     settings = {k: config[k] for k in ("method", "normalization", "reference_firm") if k in config}
     if "tol" in config:
-        settings["tol"] = float(config["tol"])
+        settings["tol"] = _number(config, "tol", None, float)
     if "max_iter" in config:
-        settings["max_iter"] = int(config["max_iter"])
+        settings["max_iter"] = _number(config, "max_iter", None)
     return SolverConfig(**settings)
 
 
@@ -371,8 +387,8 @@ def cmd_correct(config: dict, out_dir: str, *, panel=None, conn=None, fit=None) 
     run = Run("correct", out_dir, config, [config.get("panel", ""), config.get("set", "")])
     method = config.get("correction", "homoskedastic_trace")
     backend = config.get("backend", "exact")
-    probes = int(config.get("probes", DEFAULT_PROBES))
-    seed = int(config.get("seed", 0))
+    probes = _number(config, "probes", DEFAULT_PROBES)
+    seed = _number(config, "seed", 0)
     if panel is None:
         panel = _read_panel(config)
         if config.get("set"):
@@ -405,10 +421,10 @@ def cmd_subsample(config: dict, out_dir: str) -> None:
     points = subsample_plot(
         panel,
         shares=shares,
-        replicates=int(config.get("replicates", 1)),
-        seed=int(config.get("seed", 0)),
+        replicates=_number(config, "replicates", 1),
+        seed=_number(config, "seed", 0),
         solver_config=_solver_config(config),
-        threads=int(config.get("threads", 1)),
+        threads=_number(config, "threads", 1),
     )
     _write_rows(
         run.path("subsample.csv"),
@@ -453,7 +469,7 @@ def cmd_eventstudy(config: dict, out_dir: str) -> None:
     if ranking == "estimated_psi":
         estimates = _fit(config, panel, largest_connected_set(build_graph(panel)))
         panel = estimates.panel
-    table = event_study(panel, ranking, int(config.get("quartiles", 4)), estimates)
+    table = event_study(panel, ranking, _number(config, "quartiles", 4), estimates)
     rows = []
     for (oq, dq), means in sorted(table.cell_means.items()):
         for et, mean in zip(EVENT_TIMES, means):

@@ -18,46 +18,47 @@ leave_out : allows unrestricted per-observation variances. The bias equals
     leave-one-out residual product. Requires every leverage P_oo < 1, i.e. a
     leave-one-out connected estimation set.
 
-Each correction runs on an exact backend or a stochastic one (Rademacher
-probes, Schur-space solves) for scale, on the fit's own Design
-(`Estimates.design`: the one a conjugate-gradient fit solved on, so a
-correction builds no second Design). The rows of one distinct (worker, firm,
-covariate row) cell (`Design.cells`) share their P_oo and B_oo, so the exact
-backend builds one (P_c, B_c) table per cell, for all components, keeps it on
-the Design for every exact correction of that fit, and takes each correction
-as one sum over the cells, sum_c B_c w_c: w_c = T_c, the cell's rows, for the
-trace (sum_o x_o x_o' = S, so trace(A S^{-1}) = sum_o B_oo), the cell's sum of
-sigma_o^2 for the leave-out. Per cell it forms y = V t, V the explicit inverse
-of the m = (F-1+K)-dimensional Schur complement of S (`Design.schur_inverse`,
-in place of a direct fit's kept factor) and t sparse, and every B_c from sums
-in that space: O(m^3) for V plus O(m * nnz(t)) per mover cell (stayer cells
-without covariates need no product). Memory is one m x m array while the table
-is built, plus chunk * m per block of cells, then 5 floats per cell kept.
-Quadratic-form matrices are never materialized.
+A correction takes a fit and component names (keys of COMPONENTS) and runs on
+the fit's own Design (`Estimates.design`: the one a conjugate-gradient fit
+solved on, so a correction builds no second Design), on an exact backend or a
+stochastic one (Rademacher probes, Schur-space solves) for scale. The rows of
+one distinct (worker, firm, covariate row) cell (`Design.cells`) share their
+P_oo and B_oo, so the exact backend builds one (P_c, B_c) table per cell, for
+all components, keeps it on the Design for every exact correction of that
+fit, and takes each correction as one sum over the cells, sum_c B_c w_c:
+w_c = T_c, the cell's rows, for the trace (sum_o x_o x_o' = S, so
+trace(A S^{-1}) = sum_o B_oo), the cell's sum of sigma_o^2 for the leave-out.
+Per cell it forms y = V t, V the explicit inverse of the
+m = (F-1+K)-dimensional Schur complement of S (`Design.schur_inverse`, in
+place of a direct fit's kept factor) and t sparse, and every B_c from sums in
+that space: O(m^3) for V plus O(m * nnz(t)) per mover cell (stayer cells
+without covariates need no product). Memory is one m x m array while the
+table is built, plus chunk * m per block of cells, then 5 floats per cell
+kept. Quadratic-form matrices are never materialized.
 
-The stochastic backend works in the same Schur space. The homoskedastic
-trace probes are Rademacher over the m Schur coordinates, O(m) to draw: one
-solve u = V z per probe, each form's value, centring included, read from u,
-z and G'G u (`_trace_probes`). The leave-out probes work on the distinct
-cells (`Design.cells`). A leave-out probe z over observations exists only as
-its per-cell sums s_c: the T_c signs of a cell are the bits of
-ceil(T_c / 64) raw 64-bit words of the stream, so s_c = 2 popcount - T_c,
-O(cells) to draw. D'z, P z, the alpha and psi weight maps and the JLA M^
-(averaged over each cell's rows) read only s, and every solve runs in the
-Schur space through T (`_schur_rows`), the cells' reduced rows. Only the
-mover cells have rows of their own in a batch's arrays: a stayer cell, the
-only cell of its worker and a zero row of T (`_split_cells`), reads every
-value from its worker's sum, and the maps' centring is applied to the worker
-and firm sums. So beyond the draw a probe costs O(mover cells + nnz(T) + W
-+ F) outside the solve, with no pass over observations (sigma2_o is reduced
-to per-cell sums once per call), and each batch's arrays are freed before
-the next is drawn: memory is one batch's arrays. Per-cell values are
-weighted by the cell's sum of sigma2_o.
-Every probe solve runs on the Design's own Schur solver (`Design.solve_schur`),
-chosen once per Design and shared with the fit: one cho_solve on the dense
-Cholesky factor the Design keeps from its first solve, O(m^2 b) per batch,
-when that factor fits one probe temporary (8 m^2 <= PROBE_BLOCK_BYTES);
-otherwise one batched CG run against the sparse m x m Schur complement,
+The stochastic backend works in the same Schur space. The homoskedastic trace
+probes are Rademacher over the m Schur coordinates, O(m) to draw: one solve
+u = V z per probe, each component's value, centring included, read from u, z
+and G'G u (`_trace_probes`). The leave-out probes work on the distinct cells
+(`Design.cells`). A leave-out probe z over observations exists only as its
+per-cell sums s_c: the T_c signs of a cell are the bits of ceil(T_c / 64) raw
+64-bit words of the stream, so s_c = 2 popcount - T_c, O(cells) to draw. D'z,
+P z, the alpha and psi weight maps and the JLA M^ (averaged over each cell's
+rows) read only s, and every solve runs in the Schur space through T
+(`_schur_rows`), the cells' reduced rows. Only the mover cells have rows of
+their own in a batch's arrays: a stayer cell, the only cell of its worker and
+a zero row of T (`_split_cells`), reads every value from its worker's sum,
+and the maps' centring is applied to the worker and firm sums. So beyond the
+draw a probe costs O(mover cells + nnz(T) + W + F) outside the solve, with no
+pass over observations (sigma2_o is reduced to per-cell sums once per call),
+and each batch's arrays are freed before the next is drawn: memory is one
+batch's arrays. Per-cell values are weighted by the cell's sum of sigma2_o.
+Every probe solve runs on the Design's own Schur solver
+(`Design.solve_schur`), chosen once per Design and shared with the fit: one
+cho_solve on the dense Cholesky factor the Design keeps from its first solve,
+O(m^2 b) per batch, when that factor fits one probe temporary
+(8 m^2 <= PROBE_BLOCK_BYTES); otherwise one batched CG run against the sparse
+m x m Schur complement to a relative residual of CG_TOL per column,
 O(iterations * nnz(Schur) * b). Each stage solves its probes in batches of
 b = PROBE_BLOCK_BYTES // (8 cells) columns (8m for the trace probes), at
 least 1 on the dense factor and at least CG_MIN_WIDTH under CG (`_width`);
@@ -67,7 +68,7 @@ depend on the width; sums over a batch's columns do, in their last bits.
 Leave-out leverages are JLA-normalized, P^/(P^ + M^), so they stay below one.
 All components of one call share one probe stream, default_rng(seed): at P
 probes a homoskedastic decomposition solves P columns (one V z serves every
-form), a leave-out one P * (1 + distinct observation maps) = 3P (one
+component), a leave-out one P * (1 + distinct observation maps) = 3P (one
 leverage estimate, then the alpha and psi maps), whatever the number of
 components. The components' Monte Carlo errors are therefore correlated;
 each mc_stderr is still that of its own component.
@@ -86,7 +87,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .decompose import Decomposition, decompose_variance
-from .design import PROBE_BLOCK_BYTES, Cells, Design
+from .design import PROBE_BLOCK_BYTES, Cells, Design, check_connected
 from .errors import ConfigError, DataError, NumericalError
 from .network import ConnectedSet
 from .panel import Panel, restrict_panel
@@ -103,7 +104,7 @@ BACKENDS = ("exact", "stochastic")
 
 LEVERAGE_CAP = 1.0 - 1e-10
 DEFAULT_PROBES = 100
-DEFAULT_CG_TOL = 1e-8
+CG_TOL = 1e-8  # the relative residual at which every CG probe solve stops
 # The fewest probes in a batch solved by CG: one CG iteration on k columns
 # costs much less than k iterations on one column, and PROBE_BLOCK_BYTES holds
 # a single cell-length column once cells exceed 32k. Chosen at 1M observations
@@ -115,16 +116,15 @@ CG_MIN_WIDTH = 4
 @dataclass(frozen=True)
 class QuadraticForm:
     """One variance component (a key of COMPONENTS) on one Design, validated
-    on construction: the handle that the trace functions and the correction
-    engines take. `blocks` names the two per-observation effects (alpha, psi
-    or their sum) whose person-year covariance the component is."""
+    on construction: the handle that the trace functions take. `blocks` names
+    the two per-observation effects (alpha, psi or their sum) whose
+    person-year covariance the component is."""
 
     component: str
     design: Design
 
     def __post_init__(self):
-        if self.component not in COMPONENTS:
-            raise ConfigError(f"unknown component {self.component!r}")
+        _check_component(self.component)
 
     @property
     def blocks(self) -> tuple:
@@ -210,10 +210,10 @@ def _stderr(vals: np.ndarray) -> float:
     return float(vals.std(ddof=1) / np.sqrt(vals.size))
 
 
-def _trace_probes(forms: list[QuadraticForm], probes: int, rng, cg_tol: float) -> dict:
-    """Per-probe estimates of trace(A S^{-1}) of every form, z Rademacher over
-    the m Schur coordinates: one solve u = V z per probe (V = Schur^{-1},
-    `Design.solve_schur`, CG at `cg_tol`) serves all forms.
+def _trace_probes(design: Design, components: list[str], probes: int, rng) -> dict:
+    """Per-probe estimates of trace(A S^{-1}) of every named component, z
+    Rademacher over the m Schur coordinates: one solve u = V z per probe
+    (V = Schur^{-1}, `Design.solve_schur`, CG at CG_TOL) serves them all.
 
     S^{-1} has the worker block D^{-1} + D^{-1} C V C' D^{-1} and the cross
     block -D^{-1} C V (C = contact, D = diag(d_w)). With s = G'1, n_F its firm
@@ -225,14 +225,13 @@ def _trace_probes(forms: list[QuadraticForm], probes: int, rng, cg_tol: float) -
         var_psi:   sum over firms of n_F u z - (n_F'u)(n_F'z)/n,
         cov:       F - 1 - (G'G u)_P'z_P + (u's)(n_F'z)/n,
     and var_alpha_plus_psi their sum with the covariance twice."""
-    design = forms[0].design
     n, F1, m = design.n, design.F - 1, design.m
     s = np.concatenate([design.g_firm[:F1], design.panel.covariates.sum(axis=0)])
     n_f = s[:F1]
-    vals = {f.component: [] for f in forms}
+    vals = {c: [] for c in components}
     for batch in _spans(probes, _width(design, max(m, 1))):
         z = _rademacher(rng, batch, m).T.astype(np.float64, order="C")
-        u = design.solve_schur(z, cg_tol)[0]
+        u = design.solve_schur(z, CG_TOL)[0]
         gu = design.gtg @ u  # G'G u, so u'G'G z = (G'G u)'z, G'G being symmetric
         u_s, s_z = s @ u, s @ z
         f_z = n_f @ z[:F1]
@@ -245,19 +244,18 @@ def _trace_probes(forms: list[QuadraticForm], probes: int, rng, cg_tol: float) -
         value["var_alpha_plus_psi"] = (
             value["var_alpha"] + value["var_psi"] + 2.0 * value["cov_alpha_psi"]
         )
-        for f in forms:
-            vals[f.component].append(value[f.component] / n)
+        for c in components:
+            vals[c].append(value[c] / n)
     return {c: np.concatenate(v) for c, v in vals.items()}
 
 
-def hutchinson_trace_quadratic(
-    form: QuadraticForm, probes: int, seed: int, cg_tol: float = DEFAULT_CG_TOL
-) -> tuple[float, float]:
+def hutchinson_trace_quadratic(form: QuadraticForm, probes: int, seed: int) -> tuple[float, float]:
     """trace(A S^{-1}) by Rademacher probing in the Schur space: the mean of
     the per-probe values of `_trace_probes`. Returns (estimate, MC standard
     error)."""
     _check_probes(probes)
-    vals = _trace_probes([form], probes, np.random.default_rng(seed), cg_tol)[form.component]
+    rng = np.random.default_rng(seed)
+    vals = _trace_probes(form.design, [form.component], probes, rng)[form.component]
     return float(vals.mean()), _stderr(vals)
 
 
@@ -274,8 +272,8 @@ def _schur_rows(design: Design) -> sp.csr_matrix:
     return cells.g_mat - contact  # CSR difference: zeros are not stored
 
 
-def _exact_tables(design: Design, forms: list[QuadraticForm], chunk: int = 512):
-    """Exact leverages P_c and the B_c weights of every requested form, one
+def _exact_tables(design: Design, chunk: int = 512):
+    """Exact leverages P_c and the B_c weights of every component, one
     per distinct (worker, firm, covariate row) cell, whose rows share them,
     from V = the inverse of the Schur complement, `chunk` cells at a time.
 
@@ -319,13 +317,13 @@ def _exact_tables(design: Design, forms: list[QuadraticForm], chunk: int = 512):
         "cov_alpha_psi": (sap - sa * sp / n) / n,
     }
     b["var_alpha_plus_psi"] = b["var_alpha"] + b["var_psi"] + 2.0 * b["cov_alpha_psi"]
-    return lev, {f.component: b[f.component] for f in forms}
+    return lev, b
 
 
 def _exact_table(design: Design):
     """Per cell, (P_c, {component: B_c}) of every component, built once per design."""
     if design.exact_table is None:
-        design.exact_table = _exact_tables(design, [QuadraticForm(c, design) for c in COMPONENTS])
+        design.exact_table = _exact_tables(design)
     return design.exact_table
 
 
@@ -391,7 +389,7 @@ def _split_cells(design: Design) -> tuple[sp.csr_matrix, np.ndarray, np.ndarray]
 
 
 def _leverage_sums(design: Design, T: sp.csr_matrix, movers: np.ndarray, stayers: np.ndarray,
-                   probes: int, rng, cg_tol: float) -> tuple[np.ndarray, np.ndarray]:
+                   probes: int, rng) -> tuple[np.ndarray, np.ndarray]:
     """Per cell, the sums over the probes of P^ and of M^ (`_stochastic_leverages`).
 
     Everything reads the probes' per-cell sums s: D'z has the worker block
@@ -411,7 +409,7 @@ def _leverage_sums(design: Design, T: sp.csr_matrix, movers: np.ndarray, stayers
     p_hat = np.zeros(cells.size)
     m_hat = np.zeros(cells.size)
     for sums in _probe_sums(cells, probes, rng, _width(design, cells.size)):
-        y = design.solve_schur(T_t @ sums, cg_tol)[0]
+        y = design.solve_schur(T_t @ sums, CG_TOL)[0]
         pz = worker_t @ sums
         pz /= d
         pz = pz[worker_of]
@@ -429,7 +427,7 @@ def _leverage_sums(design: Design, T: sp.csr_matrix, movers: np.ndarray, stayers
 
 
 def _stochastic_leverages(design: Design, T: sp.csr_matrix, movers: np.ndarray,
-                          stayers: np.ndarray, probes: int, rng, cg_tol: float) -> np.ndarray:
+                          stayers: np.ndarray, probes: int, rng) -> np.ndarray:
     """JLA leverage estimates P^/(P^ + M^) per cell, which lie in (0, 1].
 
     With S w_r = D' z_r, z_r Rademacher over observations, D w_r = P z_r and
@@ -440,18 +438,18 @@ def _stochastic_leverages(design: Design, T: sp.csr_matrix, movers: np.ndarray,
 
     Per probe, O(cells) to draw and O(mover cells + nnz(T) + W) besides the
     solve (`_leverage_sums`); memory is one batch's arrays."""
-    p_hat, m_hat = _leverage_sums(design, T, movers, stayers, probes, rng, cg_tol)
+    p_hat, m_hat = _leverage_sums(design, T, movers, stayers, probes, rng)
     m_hat += p_hat
     return np.divide(p_hat, m_hat, out=m_hat)
 
 
-def _cell_maps(forms: list[QuadraticForm], T: sp.csr_matrix, movers: np.ndarray,
-               stayers: np.ndarray, probes: int, rng, cg_tol: float):
+def _cell_maps(design: Design, components: list[str], T: sp.csr_matrix, movers: np.ndarray,
+               stayers: np.ndarray, probes: int, rng):
     """Per batch of Rademacher probes z over observations, (maps, stay):
     maps[b] = D S^{-1} H_b' z at the mover cells (movers x batch) for each
-    distinct observation map b of the forms (H_b its centred selector), the
-    maps' reduced right-hand sides solved together in one Schur-space solve,
-    and stay = the alpha and alpha_plus_psi map at the stayer cells
+    distinct observation map b of the components (H_b its centred selector),
+    the maps' reduced right-hand sides solved together in one Schur-space
+    solve, and stay = the alpha and alpha_plus_psi map at the stayer cells
     (stayers x batch); their psi map is 0 (`_split_cells`).
 
     H_b' z is block b's incidence applied to centred z: W's~ = W's - d zbar on
@@ -461,10 +459,9 @@ def _cell_maps(forms: list[QuadraticForm], T: sp.csr_matrix, movers: np.ndarray,
     its value at a cell (W's~)_w / d_w + t_c'y (`_schur_rows`), at a stayer
     cell the first term alone. The caller drops its references to a batch
     before asking for the next, so one batch is alive at a time."""
-    design = forms[0].design
     cells = design.cells
     F1 = design.F - 1
-    blocks = list(dict.fromkeys(b for f in forms for b in f.blocks))
+    blocks = list(dict.fromkeys(b for c in components for b in COMPONENTS[c]))
     worker_t, contact_t, g_t = cells.worker_mat.T, design.contact.T, cells.g_mat.T
     T_movers = T[movers]
     at_movers, at_stayers = cells.worker_idx[movers], cells.worker_idx[stayers]
@@ -487,7 +484,7 @@ def _cell_maps(forms: list[QuadraticForm], T: sp.csr_matrix, movers: np.ndarray,
                 rhs[:, i * k : (i + 1) * k] -= alpha_rhs
             if b in ("psi", "alpha_plus_psi"):
                 rhs[:F1, i * k : (i + 1) * k] += psi_rhs
-        y = design.solve_schur(rhs, cg_tol)[0]
+        y = design.solve_schur(rhs, CG_TOL)[0]
         del rhs
         values = T_movers @ y
         del y
@@ -507,9 +504,9 @@ def compute_leverages(
     probes: int = DEFAULT_PROBES,
     component: str = "var_psi",
     seed: int = 0,
-    cg_tol: float = DEFAULT_CG_TOL,
 ) -> LeverageTable:
-    """Per-observation leverages and component weights on a connected set.
+    """Per-observation leverages and component weights on a connected set (a
+    disconnected one is a DataError, as in `estimate`).
 
     Exact backend: one y = V t per distinct (worker, firm, covariate row) cell,
     broadcast to its observations; the leverages sum to the design rank.
@@ -519,23 +516,24 @@ def compute_leverages(
     and 1/(1 - P_oo) induce downstream is documented and left uncorrected.
     """
     _check_backend(backend, probes)
+    _check_component(component)
     est_panel = panel if conn is None else restrict_panel(panel, conn.workers, conn.firms)
+    check_connected(est_panel)
     design = Design(est_panel)
-    form = QuadraticForm(component=component, design=design)
     if backend == "exact":
         lev, weights = _exact_table(design)
         bw, probes = weights[component], 0
     else:
         rng = np.random.default_rng(seed)
         T, movers, stayers = _split_cells(design)
-        lev = _stochastic_leverages(design, T, movers, stayers, probes, rng, cg_tol)
+        lev = _stochastic_leverages(design, T, movers, stayers, probes, rng)
         # per probe, the weight product averages to n * B_oo (Rademacher
         # coordinates are independent)
-        left, right = form.blocks
+        left, right = COMPONENTS[component]
         bw = np.zeros(design.cells.size)
-        for maps, stay in _cell_maps([form], T, movers, stayers, probes, rng, cg_tol):
+        for maps, stay in _cell_maps(design, [component], T, movers, stayers, probes, rng):
             bw[movers] += np.einsum("ij,ij->i", maps[left], maps[right])
-            if "psi" not in form.blocks:  # a stayer cell's psi map is 0
+            if "psi" not in (left, right):  # a stayer cell's psi map is 0
                 bw[stayers] += np.einsum("ij,ij->i", stay, stay)
             del maps, stay
         bw /= probes * design.n
@@ -564,64 +562,64 @@ def _leave_out_sums(design: Design, estimates: Estimates, lev: np.ndarray,
     return design.cells.sums(design.panel.log_wage * estimates.residuals) / (1.0 - lev)
 
 
-def _leave_out_probes(estimates: Estimates, forms: list[QuadraticForm], probes: int,
-                      rng, cg_tol: float) -> dict:
-    """Per-probe z'Hl S^{-1} D' diag(sigma2_o) D S^{-1} Hr' z / n of every form,
-    whose mean over probes is sum_o B_oo sigma2_o, sigma2_o the leave-one-out
-    variances from one JLA leverage estimate: 1 + b solved columns per probe
-    for the forms' b distinct observation maps."""
-    design = forms[0].design
+def _leave_out_probes(estimates: Estimates, components: list[str], probes: int, rng) -> dict:
+    """Per-probe z'Hl S^{-1} D' diag(sigma2_o) D S^{-1} Hr' z / n of every named
+    component, whose mean over probes is sum_o B_oo sigma2_o, sigma2_o the
+    leave-one-out variances from one JLA leverage estimate: 1 + b solved
+    columns per probe for the components' b distinct observation maps."""
+    design = estimates.design
     T, movers, stayers = _split_cells(design)
-    lev = _stochastic_leverages(design, T, movers, stayers, probes, rng, cg_tol)
+    lev = _stochastic_leverages(design, T, movers, stayers, probes, rng)
     sigma2_cell = _leave_out_sums(design, estimates, lev, probes)
     sigma2_movers, sigma2_stayers = sigma2_cell[movers], sigma2_cell[stayers]
-    vals = {f.component: [] for f in forms}
-    for maps, stay in _cell_maps(forms, T, movers, stayers, probes, rng, cg_tol):
-        for f in forms:
-            left, right = f.blocks
+    vals = {c: [] for c in components}
+    for maps, stay in _cell_maps(design, components, T, movers, stayers, probes, rng):
+        for c in components:
+            left, right = COMPONENTS[c]
             v = np.einsum("ij,ij,i->j", maps[left], maps[right], sigma2_movers)
-            if "psi" not in f.blocks:  # a stayer cell's psi map is 0
+            if "psi" not in (left, right):  # a stayer cell's psi map is 0
                 v += np.einsum("ij,ij,i->j", stay, stay, sigma2_stayers)
-            vals[f.component].append(v / design.n)
+            vals[c].append(v / design.n)
         del maps, stay
     return {c: np.concatenate(v) for c, v in vals.items()}
 
 
-def _corrections(estimates: Estimates, forms: list[QuadraticForm], method: str, backend: str,
-                 plug: Decomposition, probes: int, seed: int, cg_tol: float) -> dict:
-    """The forms' CorrectionResults, plug-ins read from `plug`, the plug-in
-    decomposition of the fit. A form's correction is the mean of its values,
-    times sigma2hat for the homoskedastic trace: on the exact backend one
-    value, sum_c B_c w_c over the cells' table (w_c = T_c for the trace, the
-    cell's sum of sigma2_o for the leave-out); on the stochastic backend one
-    per probe of the stream default_rng(seed), shared by every form, so a
-    decomposition pays for its solves once, and each form's mc_stderr is the
-    standard error of its own values (the forms' errors are correlated)."""
-    design = forms[0].design
+def _corrections(estimates: Estimates, components: list[str], method: str, backend: str,
+                 plug: Decomposition, probes: int, seed: int) -> dict:
+    """The named components' CorrectionResults on the fit's Design, plug-ins
+    read from `plug`, the plug-in decomposition of the fit. A component's
+    correction is the mean of its values, times sigma2hat for the
+    homoskedastic trace: on the exact backend one value, sum_c B_c w_c over
+    the cells' table (w_c = T_c for the trace, the cell's sum of sigma2_o for
+    the leave-out); on the stochastic backend one per probe of the stream
+    default_rng(seed), shared by every component, so a decomposition pays for
+    its solves once, and each component's mc_stderr is the standard error of
+    its own values (their errors are correlated)."""
+    design = estimates.design
     homoskedastic = method == "homoskedastic_trace"
     scale = _sigma2(estimates) if homoskedastic else 1.0  # leave-out values carry each sigma2_o
     if backend == "exact":
         lev, weights = _exact_table(design)
         w = design.cells.counts if homoskedastic else _leave_out_sums(design, estimates, lev)
-        vals = {f.component: np.array([weights[f.component] @ w]) for f in forms}
+        vals = {c: np.array([weights[c] @ w]) for c in components}
         stochastic = {}
     else:
         rng = np.random.default_rng(seed)
         if homoskedastic:
-            vals = _trace_probes(forms, probes, rng, cg_tol)
+            vals = _trace_probes(design, components, probes, rng)
         else:
-            vals = _leave_out_probes(estimates, forms, probes, rng, cg_tol)
+            vals = _leave_out_probes(estimates, components, probes, rng)
         stochastic = {"probes_used": probes, "seed": seed}
     plug_in = _plug_ins(plug)
     results = {}
-    for f in forms:
-        v = vals[f.component]
+    for c in components:
+        v = vals[c]
         correction = scale * float(v.mean())
-        results[f.component] = CorrectionResult(
-            component=f.component,
-            plug_in=plug_in[f.component],
+        results[c] = CorrectionResult(
+            component=c,
+            plug_in=plug_in[c],
             correction=correction,
-            corrected=plug_in[f.component] - correction,
+            corrected=plug_in[c] - correction,
             method=method,
             backend=backend,
             mc_stderr=scale * _stderr(v) if v.size > 1 else 0.0,
@@ -637,6 +635,12 @@ def _check_backend(backend: str, probes: int) -> None:
         _check_probes(probes)
 
 
+def _check_component(component: str) -> None:
+    """A component is named by a key of COMPONENTS, and by nothing else."""
+    if not isinstance(component, str) or component not in COMPONENTS:
+        raise ConfigError(f"unknown component {component!r}: one of {', '.join(COMPONENTS)}")
+
+
 def _check_probes(probes: int) -> None:
     if probes < 2:
         raise ConfigError(
@@ -645,37 +649,33 @@ def _check_probes(probes: int) -> None:
         )
 
 
-def _correct_one(panel: Panel, estimates: Estimates, form: QuadraticForm | str, method: str,
-                 backend: str, probes: int, seed: int, cg_tol: float) -> CorrectionResult:
+def _correct_one(panel: Panel, estimates: Estimates, component: str, method: str,
+                 backend: str, probes: int, seed: int) -> CorrectionResult:
+    _check_component(component)
     plug = decompose_variance(panel, estimates)  # raises if the fit is not of `panel`
     _check_backend(backend, probes)
-    if isinstance(form, str):
-        form = QuadraticForm(form, estimates.design)
-    results = _corrections(estimates, [form], method, backend, plug, probes, seed, cg_tol)
-    return results[form.component]
+    return _corrections(estimates, [component], method, backend, plug, probes, seed)[component]
 
 
 def correct_homoskedastic(
     panel: Panel,
     estimates: Estimates,
-    form: QuadraticForm | str,
+    component: str,
     backend: str = "exact",
     probes: int = DEFAULT_PROBES,
     seed: int = 0,
-    cg_tol: float = DEFAULT_CG_TOL,
 ) -> CorrectionResult:
     """Trace-based correction under a common idiosyncratic variance."""
-    return _correct_one(panel, estimates, form, "homoskedastic_trace", backend, probes, seed, cg_tol)
+    return _correct_one(panel, estimates, component, "homoskedastic_trace", backend, probes, seed)
 
 
 def correct_leave_out(
     panel: Panel,
     estimates: Estimates,
-    form: QuadraticForm | str,
+    component: str,
     backend: str = "exact",
     probes: int = DEFAULT_PROBES,
     seed: int = 0,
-    cg_tol: float = DEFAULT_CG_TOL,
 ) -> CorrectionResult:
     """Leave-one-out correction allowing unrestricted variance heterogeneity.
 
@@ -683,7 +683,7 @@ def correct_leave_out(
     or above one is reported as a data error rather than clipped, a
     stochastic one as a numerical error.
     """
-    return _correct_one(panel, estimates, form, "leave_out", backend, probes, seed, cg_tol)
+    return _correct_one(panel, estimates, component, "leave_out", backend, probes, seed)
 
 
 def _require_below_one(lev: np.ndarray, probes: int | None = None) -> None:
@@ -711,7 +711,6 @@ def corrected_decomposition(
     backend: str = "exact",
     probes: int = DEFAULT_PROBES,
     seed: int = 0,
-    cg_tol: float = DEFAULT_CG_TOL,
 ) -> Decomposition:
     """Decomposition with var_alpha, var_psi, and the covariance corrected by
     the chosen method; the residual is recomputed as total minus the corrected
@@ -723,8 +722,8 @@ def corrected_decomposition(
         raise ConfigError(f"unknown correction method {method!r}")
     _check_backend(backend, probes)
     plug = decompose_variance(panel, estimates)
-    forms = [QuadraticForm(c, estimates.design) for c in ("var_alpha", "var_psi", "cov_alpha_psi")]
-    results = _corrections(estimates, forms, method, backend, plug, probes, seed, cg_tol)
+    components = ["var_alpha", "var_psi", "cov_alpha_psi"]
+    results = _corrections(estimates, components, method, backend, plug, probes, seed)
 
     var_alpha = results["var_alpha"].corrected
     var_psi = results["var_psi"].corrected

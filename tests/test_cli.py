@@ -675,6 +675,41 @@ class TestCorrectAndDiagnostics:
             res = single(est.panel, est, component, backend="stochastic", probes=30, seed=4)
             assert stochastic[key] == pytest.approx(scale * res.mc_stderr, rel=1e-12)
 
+    @pytest.mark.parametrize("command, key, value", [
+        ("correct", "probes", "abc"),
+        ("correct", "probes", 1.7),
+        ("correct", "seed", "s"),
+        ("correct", "seed", True),
+        ("correct", "tol", "x"),
+        ("estimate", "max_iter", "many"),
+        ("estimate", "max_iter", 10.5),
+        ("subsample", "replicates", "two"),
+        ("subsample", "seed", None),
+        ("subsample", "threads", 1.5),
+        ("eventstudy", "quartiles", "four"),
+    ])
+    def test_config_value_that_is_not_a_number_is_config_error(self, tmp_path, fixture_file,
+                                                                capsys, command, key, value):
+        """A config file value that is no number of the setting's kind, or a
+        fractional value for an integer setting, is a config error (exit 2)
+        that names the key, not a traceback or a silently truncated value."""
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: value}))
+        code = run_cli(command, "--panel", fixture_file, "--config", str(cfg),
+                       "--out", str(tmp_path / "o"))
+        assert code == cli.EXIT_CONFIG
+        err = json.loads(capsys.readouterr().out.strip().splitlines()[-1])["error"]
+        assert err["kind"] == "config" and repr(key) in err["message"]
+
+    def test_config_numbers_as_strings_or_integral_floats(self, tmp_path, fixture_file):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"probes": "30", "seed": 4.0, "tol": "1e-10"}))
+        out = tmp_path / "o"
+        assert run_cli("correct", "--panel", fixture_file, "--config", str(cfg),
+                       "--backend", "stochastic", "--out", str(out)) == 0
+        result = read_json(out / "corrected_homoskedastic_trace.json")
+        assert result["probes"] == 30 and result["seed"] == 4 and isinstance(result["seed"], int)
+
     def test_unknown_correction_is_config_error(self, tmp_path, exactfit_panel):
         panel_file = tmp_path / "p.csv"
         write_panel(exactfit_panel, panel_file)

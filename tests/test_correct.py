@@ -78,7 +78,8 @@ def loo_estimated(seed=0, **cfg_kwargs):
 
 
 def test_one_design_per_conjugate_gradient_fit(monkeypatch):
-    """Both exact corrections of a CG fit run on the Design its solve built."""
+    """Both corrected decompositions and both single-component corrections of
+    a CG fit, on either backend, run on the Design its solve built."""
     built = []
     init = Design.__init__
 
@@ -88,9 +89,30 @@ def test_one_design_per_conjugate_gradient_fit(monkeypatch):
 
     monkeypatch.setattr(Design, "__init__", counted)
     _, _, _, est_panel, est = loo_estimated(seed=4)
-    for method in ("leave_out", "homoskedastic_trace"):
-        corrected_decomposition(est_panel, est, method, backend="exact")
+    for backend in correct_module.BACKENDS:
+        for method in ("leave_out", "homoskedastic_trace"):
+            corrected_decomposition(est_panel, est, method, backend=backend, probes=10)
+        for correct_fn in (correct_homoskedastic, correct_leave_out):
+            correct_fn(est_panel, est, "var_psi", backend, probes=10)
     assert len(built) == 1 and est.design.panel is built[0]
+
+
+def test_single_component_correction_takes_a_name_only(monkeypatch):
+    """correct_homoskedastic and correct_leave_out name their component: a
+    QuadraticForm, on the fit's Design or on another, or an unknown name is a
+    ConfigError before any solve."""
+    _, _, _, est_panel, est = loo_estimated(seed=4)
+    other = loo_estimated(seed=5)[-1].design
+    solves = []
+    monkeypatch.setattr(Design, "solve_schur", lambda self, t, *a, **k: solves.append(t))
+    monkeypatch.setattr(Design, "schur_cholesky", lambda self: solves.append(self))
+    for correct_fn in (correct_homoskedastic, correct_leave_out):
+        for backend in correct_module.BACKENDS:
+            for component in (QuadraticForm("var_psi", est.design),
+                              QuadraticForm("var_psi", other), "mystery"):
+                with pytest.raises(ConfigError, match="unknown component"):
+                    correct_fn(est_panel, est, component, backend, probes=10)
+    assert solves == []
 
 
 # each correction's component, its decomposition key and the key's scale
@@ -151,7 +173,7 @@ class TestLeverages:
         design = Design(panel)
         D, Sinv, A_of = dense_pieces(panel)
         forms = [QuadraticForm(c, design) for c in ("var_alpha", "var_psi", "cov_alpha_psi")]
-        lev, weights = _exact_tables(design, forms, chunk=5)
+        lev, weights = _exact_tables(design, chunk=5)
         inverse = design.cells.inverse  # the table is per cell
         P = D @ Sinv @ D.T
         assert np.abs(lev[inverse] - np.diag(P)).max() < 1e-10
@@ -180,6 +202,22 @@ class TestLeverages:
         table = compute_leverages(panel, backend="exact")
         c_obs = panel.worker_idx == panel.worker_index("c")
         assert table.leverage[c_obs][0] == pytest.approx(1.0, abs=1e-10)
+
+    @pytest.mark.parametrize("backend", ("exact", "stochastic"))
+    def test_disconnected_panel_is_data_error(self, backend):
+        """Two firm pairs no worker links: a DataError that names the cause,
+        as `estimate` raises, not a failed factorization of the singular
+        3 x 3 Schur complement."""
+        from twowayfe import Panel
+
+        panel = Panel(
+            worker=["a", "a", "b", "b", "c", "c", "d", "d"],
+            firm=["f1", "f2", "f2", "f1", "f3", "f4", "f4", "f3"],
+            period=[1, 2] * 4,
+            log_wage=[1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0],
+        )
+        with pytest.raises(DataError, match="not connected"):
+            compute_leverages(panel, backend=backend, probes=4)
 
     def test_stochastic_unbiased_and_reproducible(self):
         panel, _, loo, est_panel, _ = loo_estimated(seed=1)
@@ -413,7 +451,7 @@ class TestCellTable:
             )
             assert cells.shape[0] < panel.n_obs  # rows do share cells
             forms = [QuadraticForm(c, design) for c in self.COMPONENTS]
-            lev, weights = _exact_tables(design, forms, chunk=4)
+            lev, weights = _exact_tables(design, chunk=4)
             assert lev.shape == (design.cells.size,)
             lev = lev[design.cells.inverse]
             weights = {c: w[design.cells.inverse] for c, w in weights.items()}
@@ -433,7 +471,7 @@ class TestCellTable:
     def test_stayers_closed_form_without_covariates(self):
         panel, _, loo, est_panel, _ = loo_estimated(seed=11)
         design = Design(est_panel)
-        lev, weights = _exact_tables(design, [QuadraticForm("var_psi", design)], chunk=64)
+        lev, weights = _exact_tables(design, chunk=64)
         lev, b_psi = lev[design.cells.inverse], weights["var_psi"][design.cells.inverse]
         firms_per_worker = np.array(
             [np.unique(est_panel.firm_idx[est_panel.worker_idx == w]).size
@@ -570,6 +608,7 @@ def test_probe_stream_matches_one_at_a_time_dense_oracle(
     64-bit words (`cell_word_probes`), solved `cell_width` at a time. Without
     covariates the 90 rows share 44 cells; with continuous covariates every
     row is its own cell."""
+    monkeypatch.setattr(correct_module, "CG_TOL", 1e-12)
     rng = np.random.default_rng(13)
     panel = random_connected_panel(rng, n_workers=30, n_firms=6, n_covariates=n_covariates)
     n, W, F, K = panel.n_obs, panel.n_workers, panel.n_firms, n_covariates
@@ -589,16 +628,13 @@ def test_probe_stream_matches_one_at_a_time_dense_oracle(
     dense = [dense_trace_probe_values(panel, zr) for zr in z]
     for component in COMPONENTS:
         expected = np.mean([values[component] for values in dense]) / n
-        trace, _ = hutchinson_trace_quadratic(
-            QuadraticForm(component, design), probes, seed, cg_tol=1e-12
-        )
+        trace, _ = hutchinson_trace_quadratic(QuadraticForm(component, design), probes, seed)
         assert trace == pytest.approx(expected, rel=1e-8), component
 
     if cell_width is not None:
         monkeypatch.setattr(correct_module, "PROBE_BLOCK_BYTES", 8 * cells * cell_width)
     table = compute_leverages(
-        panel, backend="stochastic", probes=probes, component="cov_alpha_psi",
-        seed=seed, cg_tol=1e-12,
+        panel, backend="stochastic", probes=probes, component="cov_alpha_psi", seed=seed,
     )
     P = D @ Sinv @ D.T
     C = np.eye(n) - 1.0 / n
@@ -649,18 +685,19 @@ def test_probe_stream_matches_one_at_a_time_dense_oracle_by_cg(
 
 
 @pytest.mark.parametrize("n_covariates", (0, 2))
-def test_schur_space_traces_within_mc_error_of_exact(n_covariates):
+def test_schur_space_traces_within_mc_error_of_exact(n_covariates, monkeypatch):
     """Every form's Schur-space probe estimate lies within 4 mc_stderr of the
     exact trace. Without covariates the var_alpha_plus_psi probes are all
     (W - 1 + m) / n, the trace of the centered fitted-value projection over
     n, so its error is rounding alone."""
+    monkeypatch.setattr(correct_module, "CG_TOL", 1e-12)
     rng = np.random.default_rng(14)
     panel = random_connected_panel(rng, n_workers=60, n_firms=8, n_covariates=n_covariates)
     design = Design(panel)
     for component in COMPONENTS:
         form = QuadraticForm(component, design)
         exact = exact_trace_quadratic(form)
-        trace, se = hutchinson_trace_quadratic(form, 200, seed=3, cg_tol=1e-12)
+        trace, se = hutchinson_trace_quadratic(form, 200, seed=3)
         assert abs(trace - exact) <= 4 * se + 1e-12 * abs(exact), component
         if n_covariates == 0 and component == "var_alpha_plus_psi":
             m = panel.n_firms - 1
@@ -766,6 +803,40 @@ def test_leave_out_batches_at_least_cg_min_width_under_cg(cg, monkeypatch):
     widths = [4, 4, 2] if cg else [1] * 10
     assert correct_module.CG_MIN_WIDTH == 4
     assert columns == widths + [2 * w for w in widths]
+
+
+def test_every_probe_solve_runs_at_cg_tol(monkeypatch):
+    """Under CG (the Design's budget lowered to zero) the trace, leverage and
+    map stages of both stochastic corrections and of compute_leverages solve
+    at CG_TOL, read when they solve: a patched CG_TOL reaches all three."""
+    monkeypatch.setattr(design_module, "PROBE_BLOCK_BYTES", 0)
+    panel, _, loo, est_panel, est = loo_estimated(seed=5)
+    assert not est.design.direct and correct_module.CG_TOL == 1e-8
+    stage, solves = [None], []
+    pcg = Design._pcg
+
+    def recorded(self, t, rtol, maxiter):
+        solves.append((stage[0], rtol))
+        return pcg(self, t, rtol, maxiter)
+
+    def tagged(name, fn):
+        def run(*args, **kwargs):
+            stage[0] = name
+            return fn(*args, **kwargs)
+        return run
+
+    monkeypatch.setattr(Design, "_pcg", recorded)
+    for name, attr in (("trace", "_trace_probes"), ("leverage", "_leverage_sums"),
+                       ("maps", "_cell_maps")):
+        monkeypatch.setattr(correct_module, attr, tagged(name, getattr(correct_module, attr)))
+    for tol in (correct_module.CG_TOL, 1e-6):
+        monkeypatch.setattr(correct_module, "CG_TOL", tol)
+        solves.clear()
+        for method in ("homoskedastic_trace", "leave_out"):
+            corrected_decomposition(est_panel, est, method, "stochastic", probes=4)
+        compute_leverages(est_panel, None, "stochastic", probes=4, component="cov_alpha_psi")
+        assert {name for name, _ in solves} == {"trace", "leverage", "maps"}
+        assert {rtol for _, rtol in solves} == {tol}
 
 
 @pytest.mark.parametrize("n_covariates", (0, 2))
@@ -935,11 +1006,11 @@ def test_cell_longer_than_one_word_draws_its_sums(monkeypatch):
     assert abs(s.var() / 70 - 1.0) < 5 * np.sqrt(2 / probes)
 
     tables = []
+    monkeypatch.setattr(correct_module, "CG_TOL", 1e-12)
     for budget in (None, 8 * cells.size * 3):
         if budget is not None:
             monkeypatch.setattr(correct_module, "PROBE_BLOCK_BYTES", budget)
-        tables.append(compute_leverages(panel, backend="stochastic", probes=40, seed=2,
-                                        cg_tol=1e-12))
+        tables.append(compute_leverages(panel, backend="stochastic", probes=40, seed=2))
     assert np.abs(tables[0].leverage - tables[1].leverage).max() <= 1e-10
     np.testing.assert_allclose(tables[0].component_weight, tables[1].component_weight,
                                rtol=0, atol=1e-10 * np.abs(tables[0].component_weight).max())
@@ -1000,6 +1071,7 @@ def test_leave_out_probes_match_dense_oracle_per_probe(kind, monkeypatch):
     weights, all within 1e-10 relative. Stayer cells, and the zero rows of T
     that share their worker (`worker_constant`), take their values from the
     worker arrays."""
+    monkeypatch.setattr(correct_module, "CG_TOL", 1e-12)
     panel = oracle_panel(kind)
     est = estimate(panel, None, SolverConfig(method="conjugate_gradient"))
     design = est.design
@@ -1040,7 +1112,7 @@ def test_leave_out_probes_match_dense_oracle_per_probe(kind, monkeypatch):
         monkeypatch.setattr(correct_module, "_probe_sums",
                             lambda *args, one=one: iter([one.copy()]))
         p_hat, m_hat = correct_module._leverage_sums(
-            design, T, movers, stayers, 1, None, 1e-12)
+            design, T, movers, stayers, 1, None)
         np.testing.assert_allclose(p_hat, p_oracle[:, r], rtol=0, atol=1e-10 * p_oracle.max())
         np.testing.assert_allclose(m_hat, m_oracle[:, r], rtol=0, atol=1e-10 * m_oracle.max())
     monkeypatch.setattr(correct_module, "_probe_sums", fixed_sums)
@@ -1056,8 +1128,7 @@ def test_leave_out_probes_match_dense_oracle_per_probe(kind, monkeypatch):
     selectors["alpha_plus_psi"] = selectors["alpha"] + selectors["psi"]
     zm = probes_with_sums(panel, stages[1])
     maps = {b: D @ Sinv @ (C @ H).T @ zm for b, H in selectors.items()}
-    forms = [QuadraticForm(c, design) for c in COMPONENTS]
-    vals = correct_module._leave_out_probes(est, forms, probes, None, 1e-12)
+    vals = correct_module._leave_out_probes(est, list(COMPONENTS), probes, None)
     for component in COMPONENTS:
         left, right = correct_module.COMPONENTS[component]
         expected = np.einsum("or,or,o->r", maps[left], maps[right], sigma2) / n
@@ -1065,7 +1136,7 @@ def test_leave_out_probes_match_dense_oracle_per_probe(kind, monkeypatch):
                                    atol=1e-10 * np.abs(expected).max(), err_msg=component)
 
         table = compute_leverages(panel, backend="stochastic", probes=probes,
-                                  component=component, cg_tol=1e-12)
+                                  component=component)
         np.testing.assert_allclose(table.leverage, lev[rows_of], rtol=1e-10, atol=0)
         weights = (maps[left] * maps[right]).mean(axis=1) / n
         np.testing.assert_allclose(table.component_weight, weights, rtol=0,
