@@ -232,10 +232,31 @@ def _solver_config(config: dict) -> SolverConfig:
     return SolverConfig(**settings)
 
 
+def _typed(config: dict, key: str, default, ok, noun: str):
+    """config[key], or `default` where it is absent; a value for which `ok`
+    is false is a ConfigError naming the key and `noun`, the accepted type."""
+    value = config.get(key, default)
+    if not ok(value):
+        raise ConfigError(f"config value {key!r} must be {noun}, not {value!r}")
+    return value
+
+
+def _flag(config: dict, key: str) -> bool:
+    """config[key] as a JSON boolean, False where it is absent: a string such
+    as "false" is a ConfigError, not a truthy value."""
+    return _typed(config, key, False, lambda v: isinstance(v, bool), "true or false")
+
+
+def _strings(values) -> bool:
+    return all(isinstance(v, str) for v in values)
+
+
 def _schema(config: dict) -> dict:
-    schema = dict(config.get("columns", {}))
+    schema = dict(_typed(config, "columns", {}, lambda v: isinstance(v, dict) and _strings(v.values()),
+                         "an object of column names"))
     if "covariates" in config:
-        schema["covariates"] = list(config["covariates"])
+        schema["covariates"] = _typed(config, "covariates", None,
+                                      lambda v: isinstance(v, list) and _strings(v), "a list of column names")
     return schema
 
 
@@ -363,8 +384,8 @@ def cmd_estimate(config: dict, out_dir: str, *, panel=None, conn=None) -> Estima
 
 def cmd_decompose(config: dict, out_dir: str, *, fit=None) -> None:
     run = Run("decompose", out_dir, config, [config.get("panel", ""), config.get("set", "")])
+    include_covariates = _flag(config, "include_covariates")
     est = _fit(config) if fit is None else fit
-    include_covariates = bool(config.get("include_covariates", False))
     dec = decompose_variance(est.panel, est, include_covariates)
     _write_json(run.path("decomposition.json"), dec.to_json_dict())
     # the split of the same total: Var(Y - X beta) unless covariates are included
@@ -415,9 +436,11 @@ def cmd_correct(config: dict, out_dir: str, *, panel=None, conn=None, fit=None) 
 def cmd_subsample(config: dict, out_dir: str) -> None:
     run = Run("subsample", out_dir, config, [config.get("panel", "")])
     panel = _read_panel(config)
-    shares = config.get("shares", [0.1, 0.2, 0.5, 1.0])
+    shares = _typed(config, "shares", [0.1, 0.2, 0.5, 1.0], lambda v: isinstance(v, (str, list)),
+                    "a list or a comma-separated string of numbers")
     if isinstance(shares, str):
-        shares = [float(s) for s in shares.split(",")]
+        shares = shares.split(",")
+    shares = [_number({"shares": share}, "shares", None, float) for share in shares]
     points = subsample_plot(
         panel,
         shares=shares,
@@ -514,6 +537,7 @@ def cmd_pipeline(config: dict, out_dir: str) -> None:
     artifact directories under --out. One load, one graph and one fit per set:
     the validated panel, both sets and the fits pass between stages in memory,
     while each stage writes the artifacts and manifest of a standalone run."""
+    leave_out = _flag(config, "leave_out")
     clean = {k: v for k, v in config.items() if k != "columns"}
     clean["panel"] = os.path.join(out_dir, "validate", "panel.csv")
     set_file = os.path.join(out_dir, "connect", "connected_set.csv")
@@ -530,7 +554,7 @@ def cmd_pipeline(config: dict, out_dir: str) -> None:
         cmd_correct(*stage("correct", correction="homoskedastic_trace"),
                     panel=panel, conn=largest, fit=fit)
         del fit  # frees the fit and its design before the leave-out fit is made
-        if config.get("leave_out"):
+        if leave_out:
             cmd_correct(*stage("correct_leave_out", correction="leave_out"), panel=panel, conn=loo)
         Run("pipeline", out_dir, config, [config.get("panel", "")]).finish()
     finally:

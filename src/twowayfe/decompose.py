@@ -21,8 +21,6 @@ from .errors import DataError
 from .panel import Panel
 from .solver import Estimates
 
-FLAVORS = ("plug_in", "homoskedastic_corrected", "leave_out_corrected", "ground_truth")
-
 CORE_COMPONENTS = ("var_alpha", "var_psi", "cov2", "var_resid")
 
 

@@ -28,6 +28,18 @@ def read_json(path):
         return json.load(fh)
 
 
+def config_error(tmp_path, panel_file, capsys, command, config):
+    """Runs `command` on `panel_file` with `config` as its config file, checks
+    that it ends in a config error (exit 2) and returns the error's message."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    code = run_cli(command, "--panel", panel_file, "--config", str(cfg), "--out", str(tmp_path / "o"))
+    assert code == cli.EXIT_CONFIG
+    err = json.loads(capsys.readouterr().out.strip().splitlines()[-1])["error"]
+    assert err["kind"] == "config"
+    return err["message"]
+
+
 class TestValidate:
     def test_report_and_manifest(self, tmp_path, fixture_file):
         out = tmp_path / "v"
@@ -687,19 +699,35 @@ class TestCorrectAndDiagnostics:
         ("subsample", "seed", None),
         ("subsample", "threads", 1.5),
         ("eventstudy", "quartiles", "four"),
+        ("subsample", "shares", "0.5,x"),
+        ("subsample", "shares", [0.5, "x"]),
+        ("subsample", "shares", [0.5, True]),
     ])
     def test_config_value_that_is_not_a_number_is_config_error(self, tmp_path, fixture_file,
                                                                 capsys, command, key, value):
         """A config file value that is no number of the setting's kind, or a
         fractional value for an integer setting, is a config error (exit 2)
         that names the key, not a traceback or a silently truncated value."""
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({key: value}))
-        code = run_cli(command, "--panel", fixture_file, "--config", str(cfg),
-                       "--out", str(tmp_path / "o"))
-        assert code == cli.EXIT_CONFIG
-        err = json.loads(capsys.readouterr().out.strip().splitlines()[-1])["error"]
-        assert err["kind"] == "config" and repr(key) in err["message"]
+        assert repr(key) in config_error(tmp_path, fixture_file, capsys, command, {key: value})
+
+    @pytest.mark.parametrize("command, key, value", [
+        ("decompose", "include_covariates", "false"),
+        ("decompose", "include_covariates", 0),
+        ("pipeline", "leave_out", "false"),
+        ("validate", "columns", ["worker"]),
+        ("validate", "columns", {"worker": 1}),
+        ("validate", "covariates", "x0"),
+        ("validate", "covariates", ["x0", 1]),
+        ("subsample", "shares", 0.5),
+    ])
+    def test_config_value_of_the_wrong_json_type_is_config_error(self, tmp_path, fixture_file,
+                                                                  capsys, command, key, value):
+        """A flag that is not a JSON boolean ("false" would be truthy), column
+        names that are not an object of strings, covariates that are not a
+        list of strings (a string would be split into its characters) and
+        shares that are neither a list nor a string are config errors (exit 2)
+        that name the key."""
+        assert repr(key) in config_error(tmp_path, fixture_file, capsys, command, {key: value})
 
     def test_config_numbers_as_strings_or_integral_floats(self, tmp_path, fixture_file):
         cfg = tmp_path / "cfg.json"

@@ -129,6 +129,21 @@ class TestEventStudy:
         path = tot / n
         assert path[1] < path[0] - 0.01
 
+    def test_window_rules(self):
+        """Only a move with two periods at each firm, consecutive in time and
+        at no third firm, is counted: not one with a gap in periods, nor one
+        whose 2+2 window touches a third firm."""
+        windows = {  # worker: (firm, period) of each observation
+            "valid": [("f1", 1), ("f1", 2), ("f2", 3), ("f2", 4)],
+            "gap": [("f1", 1), ("f1", 2), ("f2", 4), ("f2", 5)],
+            "third": [("f1", 1), ("f1", 2), ("f2", 3), ("f3", 4)],
+        }
+        rows = [(w, f, t, k + 0.1 * t) for k, (w, obs) in enumerate(windows.items()) for f, t in obs]
+        panel = Panel(*(list(column) for column in zip(*rows)))
+        table = event_study(panel, "firm_mean_wage", 2)
+        assert table.n_events == 1
+        assert list(table.cell_means.values()) == [pytest.approx((0.1, 0.2, 0.3, 0.4))]
+
     def test_no_qualifying_movers_raises(self, exactfit_panel):
         est = estimate(exactfit_panel)
         with pytest.raises(DataError):
@@ -189,15 +204,21 @@ class TestSubsample:
                 assert np.isfinite(pt.avg_movers_per_firm)
 
     def test_failed_point_recorded_not_raised(self):
-        # two firms joined by one mover: dropping them disconnects everything
+        # two firms joined by one mover, kept whole: one zigzag sweep does not
+        # converge, so every fit raises
         panel = Panel(
             worker=["a", "a", "b", "b", "c", "c"],
             firm=["f1", "f2", "f1", "f1", "f2", "f2"],
             period=[1, 2, 1, 2, 1, 2],
             log_wage=[1.0, 2.0, 1.1, 1.2, 2.1, 2.2],
         )
-        points = subsample_plot(panel, shares=[0.3], replicates=6, seed=11)
-        assert len(points) == 6  # failures recorded inline
+        points = subsample_plot(panel, shares=[1.0], replicates=3, seed=11,
+                                solver_config=SolverConfig(method="zigzag", max_iter=1))
+        assert len(points) == 3  # failures recorded inline
+        for pt in points:
+            assert pt.failed and pt.n_workers == pt.n_firms == pt.n_obs == 0
+            values = (pt.avg_movers_per_firm, pt.corr_alpha_psi, pt.var_psi, pt.cov2)
+            assert all(np.isnan(v) for v in values)
 
     def test_bad_shares_rejected(self, sim_panel):
         with pytest.raises(ConfigError):

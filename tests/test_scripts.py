@@ -5,6 +5,8 @@ import os
 
 import pytest
 
+import twowayfe as tw
+
 SCRIPTS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "scripts")
 
 
@@ -41,49 +43,44 @@ def test_bias_correction_experiment_runs(capsys):
         assert all(math.isfinite(float(v)) for v in rows[name]), name
 
 
-# The criterion-13 design shrunk to S size, so the L scripts run in a second.
+# The criterion-13 design shrunk to S size, so the L bench runs in a second.
 SMALL_CRITERION_13 = dict(
     n_workers=2000, n_firms=200, n_periods=5, movers_share=0.3,
     var_alpha_true=0.2, var_psi_true=0.05, corr_sorting=0.15, noise_sigma2=0.1, seed=99,
 )
-ENVIRONMENT_KEYS = {"nproc", "blas_threads", "python", "numpy", "scipy"}
 
 
-def run_l_script(name, argv, tmp_path, monkeypatch):
-    """Run an L script on the small design; returns the record it wrote
-    under --out, which keeps the runs already there."""
-    script = load_script(name)
+@pytest.mark.parametrize("method", ("leave_out", "homoskedastic_trace"))
+@pytest.mark.parametrize("backend", ("exact", "stochastic"))
+def test_bench_L_runs(backend, method, tmp_path, monkeypatch, capsys):
+    """The L bench on the small design records every stage in order, with
+    peaks that never fall, and the corrected components of a direct
+    corrected_decomposition on the same fit, bit for bit; earlier runs in
+    --out are kept."""
+    script = load_script("bench_L")
     monkeypatch.setattr(script, "CRITERION_13", SMALL_CRITERION_13)
-    out = tmp_path / f"{name}.json"
+    out = tmp_path / "bench.json"
     out.write_text('{"runs": {"earlier": {}}}')
-    assert script.main([*argv, "--label", "smoke", "--out", str(out)]) == 0
+    argv = ["--backend", backend, "--method", method, "--label", "smoke", "--out", str(out)]
+    assert script.main(argv) == 0
     record = json.loads(out.read_text())
-    assert set(record) == {"benchmark", "panel", "runs"}
-    assert record["panel"] == SMALL_CRITERION_13
-    assert set(record["runs"]) == {"earlier", "smoke"}
+    assert record["panel"] == SMALL_CRITERION_13 and set(record["runs"]) == {"earlier", "smoke"}
     run = record["runs"]["smoke"]
-    assert set(run["environment"]) == ENVIRONMENT_KEYS
-    return run
-
-
-def test_bench_leave_out_L_stochastic_runs(tmp_path, monkeypatch, capsys):
-    run = run_l_script("bench_leave_out_L", ["--backend", "stochastic"], tmp_path, monkeypatch)
-    assert set(run) == {
-        "seconds", "peak_rss_mb", "setup_peak_rss_mb", "obs", "workers", "firms", "m",
-        "loo_set_seconds", "probes", "seed", "corrected", "source_sha256", "environment",
-    }
-    assert set(run["corrected"]) == {"var_alpha", "var_psi", "cov2", "var_resid"}
-    assert all(math.isfinite(v) for v in run["corrected"].values())
-    assert run["m"] == run["firms"] - 1 and run["probes"] == 100
     assert json.loads(capsys.readouterr().out)["smoke"]["obs"] == run["obs"]
+    assert list(run["stages"]) == [
+        "simulate", "graph", "set", "restrict", "estimate", "decompose", "correct", "write", "load",
+    ]
+    peaks = [stage["peak_rss_mb"] for stage in run["stages"].values()]
+    assert peaks == sorted(peaks)
+    assert ("probes" in run) == (backend == "stochastic") and run["file_mb"] > 0
+    assert set(run["environment"]) == {"nproc", "blas_threads", "python", "numpy", "scipy"}
 
-
-def test_bench_ingest_L_runs(tmp_path, monkeypatch):
-    run = run_l_script("bench_ingest_L", [], tmp_path, monkeypatch)
-    assert set(run) == {
-        "write_seconds", "load_seconds", "write_runs", "load_runs", "peak_rss_mb",
-        "setup_peak_rss_mb", "obs", "workers", "firms", "file_mb", "source_sha256",
-        "environment",
-    }
-    assert len(run["write_runs"]) == len(run["load_runs"]) == 3
-    assert run["workers"] == SMALL_CRITERION_13["n_workers"] and run["file_mb"] > 0
+    panel, _ = tw.simulate_panel(tw.SimConfig(**SMALL_CRITERION_13))
+    graph = tw.build_graph(panel)
+    conn = (tw.leave_one_out_connected_set(graph, panel) if method == "leave_out"
+            else tw.largest_connected_set(graph))
+    est_panel = tw.restrict_panel(panel, conn.workers, conn.firms)
+    est = tw.estimate(est_panel, None, tw.SolverConfig(method="conjugate_gradient"))
+    direct = tw.corrected_decomposition(est_panel, est, method, backend=backend)
+    assert run["corrected"] == direct.components
+    assert (run["obs"], run["m"], run["cells"]) == (est_panel.n_obs, est.design.m, est.design.cells.size)
